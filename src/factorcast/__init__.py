@@ -12,7 +12,6 @@ from .backtest import (
     BacktestConfig,
     BacktestResult,
     Verdict,
-    forecast_next,
     rolling_backtest,
     select_threshold,
 )
@@ -22,7 +21,6 @@ from .matrix import (
     CriticalThreshold,
     FactorSelection,
     TemporalMatrix,
-    apply_lag,
     apply_uniform_lag,
     label_critical,
     parse_matrix,
@@ -34,7 +32,6 @@ from .recognizer import (
     QuorumRule,
     RecognitionResult,
     build_profile,
-    classify_year,
     evaluate_insample,
     membership_count,
     precision,
@@ -80,14 +77,11 @@ __all__ = [
     "SweepSpec",
     "TemporalMatrix",
     "Verdict",
-    "apply_lag",
     "apply_uniform_lag",
     "build_profile",
-    "classify_year",
     "emit_report",
     "enumerate_subsets",
     "evaluate_insample",
-    "forecast_next",
     "generate",
     "label_critical",
     "lag_sweep",

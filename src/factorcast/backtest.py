@@ -10,8 +10,10 @@ leave-one-out mode for comparison.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Literal, Mapping
+import math
+from collections import Counter
+from dataclasses import dataclass
+from typing import Literal, Sequence
 
 from .errors import InsufficientYears
 from .matrix import (
@@ -21,12 +23,7 @@ from .matrix import (
     TemporalMatrix,
     label_critical,
 )
-from .recognizer import (
-    QuorumRule,
-    build_profile,
-    membership_count,
-    precision,
-)
+from .recognizer import QuorumRule, check_labels, membership_masks, precision
 
 EvalMode = Literal["rolling", "leave_one_out", "in_sample"]
 
@@ -51,8 +48,8 @@ class BacktestConfig:
             raise ValueError("min_train_critical must be at least 2")
         if self.eval_mode not in EVAL_MODES:
             raise ValueError(f"eval_mode must be one of {EVAL_MODES}")
-        if self.widen_eps < 0:
-            raise ValueError("widen_eps must be non-negative")
+        if not 0 <= self.widen_eps < math.inf:
+            raise ValueError("widen_eps must be finite and non-negative")
 
 
 @dataclass(frozen=True)
@@ -102,38 +99,49 @@ def select_threshold(m: TemporalMatrix, min_critical: int = 2) -> CriticalThresh
     raise AssertionError("minimum incidence always qualifies")  # pragma: no cover
 
 
-def forecast_next(
-    train: TemporalMatrix,
-    train_labels: CriticalLabels,
-    selection: FactorSelection,
-    rule: QuorumRule,
-    next_factors: Mapping[str, float],
-    *,
-    min_train_critical: int = 2,
-    widen_eps: float = 0.0,
-    year: int | None = None,
-) -> Verdict:
-    """Forecast the year after the training window from its factor values.
+def evaluation_masks(
+    m: TemporalMatrix,
+    labels: CriticalLabels,
+    names: Sequence[str],
+    cfg: BacktestConfig,
+) -> tuple[list[int | None], tuple[bool, ...]]:
+    """Kernel masks of the years ``cfg.eval_mode`` evaluates, and their truth.
 
-    Issues ``no_forecast`` when the window has fewer than
-    ``min_train_critical`` critical years; by default more than one critical
-    year is required before any forecast is made.
+    Bit j of a mask stands for ``names[j]``; a None mask is a ``no_forecast``.
+    Rolling training relabels the series from ``labels.threshold``, while the
+    truth of every year is read from ``labels``.
     """
-    if year is None:
-        year = train.years[-1] + 1
-    if train_labels.n_critical < min_train_critical:
-        return Verdict(year, "no_forecast")
-    profile = build_profile(train, train_labels, selection, widen_eps)
-    count = membership_count(next_factors, profile)
-    flagged = count >= rule.required(profile.n_factors)
-    return Verdict(year, "critical" if flagged else "non_critical", count)
+    check_labels(m, labels)
+    if labels.threshold.value != cfg.threshold.value:
+        raise ValueError("labels threshold differs from backtest config threshold")
+    rolling = cfg.eval_mode == "rolling"
+    start = cfg.min_train_years if rolling else 0
+    masks = membership_masks(
+        [m.factor_values(name) for name in names],
+        (label_critical(m, labels.threshold) if rolling else labels).is_critical,
+        cfg.eval_mode,
+        widen_eps=cfg.widen_eps,
+        start=start,
+        min_critical=cfg.min_train_critical,
+    )
+    return masks, labels.is_critical[start:]
 
 
-def _aggregate(verdicts: list[Verdict]) -> BacktestResult:
-    x = sum(1 for v in verdicts if v.prediction == "critical" and v.truth is True)
-    y = sum(1 for v in verdicts if v.prediction == "critical" and v.truth is False)
-    n_no_forecast = sum(1 for v in verdicts if v.prediction == "no_forecast")
-    return BacktestResult(tuple(verdicts), x, y, precision(x, y), n_no_forecast)
+def tally(groups: Counter, subset_bits: int, required: int) -> tuple[int, int, int]:
+    """``(x, y, n_no_forecast)`` of one factor subset and quorum requirement.
+
+    ``groups`` is ``Counter(zip(*evaluation_masks(...)))``: equal masks are scored once.
+    """
+    x = y = n_no_forecast = 0
+    for (mask, truth), n in groups.items():
+        if mask is None:
+            n_no_forecast += n
+        elif (mask & subset_bits).bit_count() >= required:
+            if truth:
+                x += n
+            else:
+                y += n
+    return x, y, n_no_forecast
 
 
 def rolling_backtest(
@@ -147,7 +155,8 @@ def rolling_backtest(
     rolling
         For every origin t from ``min_train_years`` to n-1, train on years
         1..t only and forecast year t+1. Future rows are never read, so
-        verdicts are causal.
+        verdicts are causal. A year is ``no_forecast`` while fewer than
+        ``min_train_critical`` critical years precede it.
     in_sample
         Classify every year against the profile built from all critical
         years; agrees exactly with :func:`recognizer.evaluate_insample`.
@@ -155,74 +164,24 @@ def rolling_backtest(
         Classify each year against the profile built from all critical years
         except itself (when it is critical); equals in_sample for
         non-critical years.
+
+    Every mode is one pass of the membership kernel, so a backtest costs
+    O(n·F) for n years and F factors: rolling keeps a running per-factor
+    min/max instead of rebuilding the prefix at each origin, and
+    leave-one-out holds a year out in O(F).
     """
-    if labels.years != m.years:
-        raise ValueError("labels were built for a different set of years")
-    if labels.threshold.value != cfg.threshold.value:
-        raise ValueError("labels threshold differs from backtest config threshold")
-    selection.validate_against(m)
-
-    if cfg.eval_mode == "rolling":
-        verdicts = _rolling_verdicts(m, labels, selection, cfg)
-    elif cfg.eval_mode == "in_sample":
-        verdicts = _insample_verdicts(m, labels, selection, cfg, leave_one_out=False)
-    else:
-        verdicts = _insample_verdicts(m, labels, selection, cfg, leave_one_out=True)
-    return _aggregate(verdicts)
-
-
-def _rolling_verdicts(
-    m: TemporalMatrix,
-    labels: CriticalLabels,
-    selection: FactorSelection,
-    cfg: BacktestConfig,
-) -> list[Verdict]:
+    masks, truth = evaluation_masks(m, labels, selection.names, cfg)
+    required = cfg.rule.required(selection.n_factors)
+    years = m.years[m.n_years - len(masks) :]
     verdicts = []
-    for t in range(cfg.min_train_years, m.n_years):
-        train = m.prefix(t)
-        train_labels = label_critical(train, labels.threshold)
-        verdict = forecast_next(
-            train,
-            train_labels,
-            selection,
-            cfg.rule,
-            m.row_factors(t, selection.names),
-            min_train_critical=cfg.min_train_critical,
-            widen_eps=cfg.widen_eps,
-            year=m.years[t],
-        )
-        verdicts.append(replace(verdict, truth=labels.is_critical[t]))
-    return verdicts
-
-
-def _insample_verdicts(
-    m: TemporalMatrix,
-    labels: CriticalLabels,
-    selection: FactorSelection,
-    cfg: BacktestConfig,
-    leave_one_out: bool,
-) -> list[Verdict]:
-    # Zero criticals means no profile can be built: every year is an
-    # explicit no_forecast rather than an error.
-    if labels.n_critical == 0:
-        return [
-            Verdict(year, "no_forecast", truth=labels.is_critical[i])
-            for i, year in enumerate(m.years)
-        ]
-    full_profile = build_profile(m, labels, selection, cfg.widen_eps)
-    required = cfg.rule.required(full_profile.n_factors)
-    verdicts = []
-    for i, year in enumerate(m.years):
-        profile = full_profile
-        if leave_one_out and labels.is_critical[i]:
-            if labels.n_critical == 1:
-                verdicts.append(Verdict(year, "no_forecast", truth=True))
-                continue
-            flags = list(labels.is_critical)
-            flags[i] = False
-            held_out = CriticalLabels(labels.years, tuple(flags), labels.threshold)
-            profile = build_profile(m, held_out, selection, cfg.widen_eps)
-        count = membership_count(m.row_factors(i, selection.names), profile)
+    for year, mask, critical in zip(years, masks, truth):
+        if mask is None:
+            verdicts.append(Verdict(year, "no_forecast", truth=critical))
+            continue
+        count = mask.bit_count()
         prediction = "critical" if count >= required else "non_critical"
-        verdicts.append(Verdict(year, prediction, count, labels.is_critical[i]))
-    return verdicts
+        verdicts.append(Verdict(year, prediction, count, critical))
+    x, y, n_no_forecast = tally(
+        Counter(zip(masks, truth)), (1 << selection.n_factors) - 1, required
+    )
+    return BacktestResult(tuple(verdicts), x, y, precision(x, y), n_no_forecast)

@@ -12,9 +12,8 @@ Exit codes: 0 success, 1 usage error, 2 data or validation error.
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
-import io
+import math
 import os
 import sys
 from pathlib import Path
@@ -22,6 +21,7 @@ from pathlib import Path
 from . import __version__
 from .backtest import BacktestConfig, rolling_backtest, select_threshold
 from .errors import (
+    DuplicateYear,
     FactorcastError,
     InsufficientCriticalYears,
     MatrixError,
@@ -35,8 +35,9 @@ from .matrix import (
     apply_uniform_lag,
     label_critical,
     parse_matrix,
+    read_csv_rows,
 )
-from .recognizer import QuorumRule, build_profile, evaluate_insample, membership_count
+from .recognizer import QuorumRule, build_profile, evaluate_insample, membership_masks
 from .report import (
     REPORT_FORMATS,
     backtest_report,
@@ -92,8 +93,8 @@ def _nonnegative_float(text: str) -> float:
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid number {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError("value must be non-negative")
+    if not 0 <= value < math.inf:
+        raise argparse.ArgumentTypeError("value must be finite and non-negative")
     return value
 
 
@@ -216,17 +217,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read_input(path: str) -> tuple[str, TemporalMatrix]:
+def _read_input(path: str, parse=None) -> tuple[str, object]:
+    """SHA-256 digest of an input file, and its UTF-8 text read by ``parse`` or ``parse_matrix``."""
     try:
         raw = Path(path).read_bytes()
     except OSError as exc:
         raise MatrixError(f"cannot read input {path!r}: {exc}") from None
-    digest = hashlib.sha256(raw).hexdigest()
     try:
         text = raw.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise MatrixError(f"input {path!r} is not UTF-8: {exc}") from None
-    return digest, parse_matrix(text)
+    return hashlib.sha256(raw).hexdigest(), parse_matrix(text) if parse is None else parse(text)
 
 
 def _selection(args, m: TemporalMatrix) -> FactorSelection:
@@ -293,28 +294,26 @@ def cmd_fit(args) -> int:
     return 0
 
 
-def _parse_factor_rows(text: str, wanted: tuple[str, ...]) -> tuple[tuple[int, dict], ...]:
-    """Rows of (year, factor values) from a relaxed CSV: year plus factor columns.
+def _parse_factor_rows(
+    text: str, wanted: tuple[str, ...]
+) -> tuple[tuple[int, ...], list[list[float]]]:
+    """Years and the wanted factor columns of a relaxed CSV: year plus factor columns.
 
     An ``incidence`` column, if present, is ignored; extra columns are too.
+    Row order is kept; a repeated year or a non-finite cell is an error.
     """
-    reader = csv.reader(io.StringIO(text))
-    rows = [row for row in reader]
-    while rows and rows[-1] == []:
-        rows.pop()
-    if not rows:
-        raise MatrixError("empty document")
-    header = [cell.strip() for cell in rows[0]]
+    header, rows = read_csv_rows(text)
     if not header or header[0] != "year":
         raise MatrixError("header must start with 'year'")
-    positions = {}
+    positions = []
     for name in wanted:
         try:
-            positions[name] = header.index(name)
+            positions.append(header.index(name))
         except ValueError:
             raise MissingFactorValue(name) from None
-    out = []
-    for lineno, raw in enumerate(rows[1:], start=2):
+    years: dict[int, None] = {}  # insertion-ordered set
+    columns: list[list[float]] = [[] for _ in wanted]
+    for lineno, raw in enumerate(rows, start=2):
         cells = [cell.strip() for cell in raw]
         if len(cells) != len(header):
             raise MatrixError(f"row {lineno} has {len(cells)} cells, expected {len(header)}")
@@ -322,30 +321,32 @@ def _parse_factor_rows(text: str, wanted: tuple[str, ...]) -> tuple[tuple[int, d
             year = int(cells[0])
         except ValueError:
             raise NonNumericCell(lineno, "year", cells[0]) from None
-        values = {}
-        for name, idx in positions.items():
+        if year in years:
+            raise DuplicateYear(year)
+        years[year] = None
+        for column, idx in zip(columns, positions):
             try:
-                values[name] = float(cells[idx])
+                value = float(cells[idx])
             except ValueError:
-                raise NonNumericCell(lineno, header[idx], cells[idx]) from None
-        out.append((year, values))
-    return tuple(out)
+                value = math.nan
+            if not math.isfinite(value):
+                raise NonNumericCell(lineno, header[idx], cells[idx])
+            column.append(value)
+    return tuple(years), columns
 
 
 def cmd_classify(args) -> int:
     try:
         profile_text = Path(args.profile).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise MatrixError(f"cannot read profile {args.profile!r}: {exc}") from None
     profile, rule = profile_from_json(profile_text)
 
-    try:
-        raw = Path(args.input).read_bytes()
-    except OSError as exc:
-        raise MatrixError(f"cannot read input {args.input!r}: {exc}") from None
-    digest = hashlib.sha256(raw).hexdigest()
-    rows = _parse_factor_rows(raw.decode("utf-8"), profile.factor_names)
-    scored = tuple((year, membership_count(values, profile)) for year, values in rows)
+    digest, (years, columns) = _read_input(
+        args.input, lambda text: _parse_factor_rows(text, profile.factor_names)
+    )
+    masks = membership_masks(columns, profile=profile)
+    scored = tuple((year, mask.bit_count()) for year, mask in zip(years, masks))
     metadata = _base_metadata(args, "classify", digest)
     metadata.update(
         profile=os.path.basename(args.profile),
@@ -489,6 +490,8 @@ def main(argv=None) -> int:
         args.grid_values = _parse_grid(args, parser.error)
         if args.axis != "threshold" and args.threshold is None and not args.select_threshold:
             parser.error("one of --threshold or --select-threshold is required for this axis")
+        if args.axis == "lag" and args.lag:
+            parser.error("--lag cannot be combined with --axis lag, which applies each lag itself")
     if args.command == "fit" and args.select_threshold and args.min_critical < 2:
         parser.error("--select-threshold requires --min-critical of at least 2")
     try:

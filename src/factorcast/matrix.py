@@ -17,7 +17,7 @@ import csv
 import io
 import math
 from dataclasses import dataclass
-from typing import Iterable, Literal, Mapping, Sequence
+from typing import Iterable, Literal, Mapping
 
 from .errors import (
     DuplicateFactor,
@@ -38,7 +38,7 @@ from .errors import (
 MIN_PARSE_YEARS = 3
 
 
-def _format_value(v: float) -> str:
+def format_number(v: float) -> str:
     """Shortest decimal string that round-trips to the same float."""
     return repr(float(v))
 
@@ -109,22 +109,11 @@ class TemporalMatrix:
     def n_factors(self) -> int:
         return len(self.factor_names)
 
-    def year_index(self, year: int) -> int:
-        try:
-            return self.years.index(year)
-        except ValueError:
-            raise MatrixError(f"year {year} not in matrix") from None
-
     def factor_values(self, name: str) -> tuple[float, ...]:
         try:
             return self.columns[name]
         except KeyError:
             raise UnknownFactor(name) from None
-
-    def row_factors(self, index: int, names: Sequence[str] | None = None) -> dict[str, float]:
-        """Factor values of one year row, keyed by factor name."""
-        use = self.factor_names if names is None else tuple(names)
-        return {name: self.factor_values(name)[index] for name in use}
 
     def window(self, start: int, stop: int) -> "TemporalMatrix":
         """Row slice [start, stop); factors unchanged."""
@@ -153,8 +142,8 @@ class TemporalMatrix:
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(["year", "incidence", *self.factor_names])
         for i, year in enumerate(self.years):
-            row = [str(year), _format_value(self.incidence[i])]
-            row.extend(_format_value(self.columns[name][i]) for name in self.factor_names)
+            row = [str(year), format_number(self.incidence[i])]
+            row.extend(format_number(self.columns[name][i]) for name in self.factor_names)
             writer.writerow(row)
         return out.getvalue()
 
@@ -200,12 +189,6 @@ class CriticalLabels:
     def critical_years(self) -> tuple[int, ...]:
         return tuple(y for y, c in zip(self.years, self.is_critical) if c)
 
-    def for_year(self, year: int) -> bool:
-        try:
-            return self.is_critical[self.years.index(year)]
-        except ValueError:
-            raise MatrixError(f"year {year} not in labeling") from None
-
 
 @dataclass(frozen=True)
 class FactorSelection:
@@ -237,6 +220,19 @@ class FactorSelection:
         return cls(m.factor_names)
 
 
+def read_csv_rows(text: str) -> tuple[list[str], list[list[str]]]:
+    """Stripped header cells and the data rows of a CSV document.
+
+    Trailing blank lines are dropped; a document with no header is an error.
+    """
+    rows = list(csv.reader(io.StringIO(text)))
+    while rows and rows[-1] == []:
+        rows.pop()
+    if not rows:
+        raise MatrixError("empty document")
+    return [cell.strip() for cell in rows[0]], rows[1:]
+
+
 def parse_matrix(text: str) -> TemporalMatrix:
     """Parse the canonical CSV format into a validated matrix.
 
@@ -244,13 +240,7 @@ def parse_matrix(text: str) -> TemporalMatrix:
     decimal point ``.``, one row per year. Row order is normalized to
     increasing year. Row numbers in errors count the header as row 1.
     """
-    reader = csv.reader(io.StringIO(text))
-    rows = [row for row in reader]
-    while rows and rows[-1] == []:
-        rows.pop()
-    if not rows:
-        raise MatrixError("empty document")
-    header = [cell.strip() for cell in rows[0]]
+    header, rows = read_csv_rows(text)
     if len(header) < 2 or header[0] != "year" or header[1] != "incidence":
         raise MatrixError("header must start with 'year,incidence'")
     factor_names = header[2:]
@@ -260,7 +250,7 @@ def parse_matrix(text: str) -> TemporalMatrix:
         raise MatrixError("factor names must be non-empty")
 
     parsed: list[tuple[int, float, list[float]]] = []
-    for lineno, raw in enumerate(rows[1:], start=2):
+    for lineno, raw in enumerate(rows, start=2):
         cells = [cell.strip() for cell in raw]
         if len(cells) < len(header):
             raise MissingCell(lineno, header[len(cells)])
@@ -322,18 +312,13 @@ def select_factors(m: TemporalMatrix, selection: FactorSelection) -> TemporalMat
     )
 
 
-def apply_lag(m: TemporalMatrix, factor: str, lag: int) -> TemporalMatrix:
-    """Pair incidence of year t with the named factor's value from year t - lag.
+def apply_uniform_lag(m: TemporalMatrix, factors: Iterable[str], lag: int) -> TemporalMatrix:
+    """Pair incidence of year t with the named factors' values from year t - lag.
 
     Lag counts rows (years, for a gap-free annual series). The first ``lag``
-    rows, which lack a lagged value, are dropped; other factors are taken at
-    year t. ``lag = 0`` is the identity.
+    rows, which lack a lagged value, are dropped once; other factors are
+    taken at year t. ``lag = 0`` is the identity.
     """
-    return apply_uniform_lag(m, (factor,), lag)
-
-
-def apply_uniform_lag(m: TemporalMatrix, factors: Iterable[str], lag: int) -> TemporalMatrix:
-    """Apply one lag to several factor columns at once, dropping ``lag`` rows once."""
     names = tuple(factors)
     for name in names:
         if name not in m.columns:

@@ -7,15 +7,20 @@ a quorum of the envelopes. A flagged year that is truly critical counts
 toward ``x``, a flagged non-critical ("false critical") year toward ``y``,
 and recognition precision is ``p = x / (x + y)``.
 
+Every evaluation path reads one kernel, :func:`membership_masks`: per year an
+``int`` whose bit j is set when factor j's value lies inside its envelope, so
+a factor subset scores ``(mask & subset_bits).bit_count()`` against a quorum.
+
 All functions are pure; many (profile, rule) configurations can be evaluated
 concurrently over the same matrix without coordination.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from .errors import (
     DuplicateFactor,
@@ -33,7 +38,8 @@ class FactorInterval:
 
     Membership is ``lo - widen_eps <= v <= hi + widen_eps``; the optional
     symmetric widening guards degenerate point intervals against
-    floating-point noise and defaults to zero.
+    floating-point noise and defaults to zero. All three numbers must be
+    finite: a NaN bound would make every membership test read as a miss.
     """
 
     factor: str
@@ -45,6 +51,8 @@ class FactorInterval:
         object.__setattr__(self, "lo", float(self.lo))
         object.__setattr__(self, "hi", float(self.hi))
         object.__setattr__(self, "widen_eps", float(self.widen_eps))
+        if not all(map(math.isfinite, (self.lo, self.hi, self.widen_eps))):
+            raise ValueError(f"interval for {self.factor!r} has a non-finite bound or widening")
         if self.lo > self.hi:
             raise ValueError(f"interval for {self.factor!r} has lo > hi")
         if self.widen_eps < 0:
@@ -149,7 +157,8 @@ class RecognitionResult:
     per_year_membership: dict[int, int]
 
 
-def _check_labels(m: TemporalMatrix, labels: CriticalLabels) -> None:
+def check_labels(m: TemporalMatrix, labels: CriticalLabels) -> None:
+    """Raise :class:`LabelMismatch` unless ``labels`` were built for ``m``'s years."""
     if labels.years != m.years:
         raise LabelMismatch()
 
@@ -161,7 +170,7 @@ def build_profile(
     widen_eps: float = 0.0,
 ) -> IntervalProfile:
     """Envelope each selected factor over the critical years of the labeling."""
-    _check_labels(m, labels)
+    check_labels(m, labels)
     selection.validate_against(m)
     critical_idx = [i for i, c in enumerate(labels.is_critical) if c]
     if not critical_idx:
@@ -174,24 +183,85 @@ def build_profile(
     return IntervalProfile(tuple(intervals), len(critical_idx))
 
 
+def _row_mask(row: Sequence[float], lo: Sequence[float], hi: Sequence[float]) -> int:
+    mask = 0
+    for j, value in enumerate(row):
+        if lo[j] <= value <= hi[j]:
+            mask |= 1 << j
+    return mask
+
+
+def membership_masks(
+    columns: Sequence[Sequence[float]],
+    critical: Sequence[bool] = (),
+    mode: str = "in_sample",
+    *,
+    profile: IntervalProfile | None = None,
+    widen_eps: float = 0.0,
+    start: int = 0,
+    min_critical: int = 1,
+) -> list[int | None]:
+    """The membership kernel: one bitmask per row, or None where no envelope exists.
+
+    Bit j of a row's mask is set when the row's value in ``columns[j]`` lies
+    inside factor j's envelope widened by ``widen_eps``; None (nothing to
+    test against) is a ``no_forecast``. Envelopes span ``critical`` rows:
+
+    - rolling: those before the row, as a running min/max. Rows before
+      ``start`` get no entry; None while fewer than ``min_critical`` precede.
+    - leave_one_out: all but the row itself, from the two smallest and two
+      largest critical values per factor; None for a lone critical row.
+    - in_sample: all of them; None for every row when there is none.
+
+    A ``profile`` fixes the envelopes to its intervals instead, whatever the
+    mode. Every mode costs O(n·F) for n rows and F factors.
+    """
+    rows = list(zip(*columns))
+    if profile is not None:
+        lo = [iv.lo - iv.widen_eps for iv in profile.intervals]
+        hi = [iv.hi + iv.widen_eps for iv in profile.intervals]
+        return [_row_mask(row, lo, hi) for row in rows]
+    eps = float(widen_eps)
+    if mode == "rolling":
+        lo, hi = [math.inf] * len(columns), [-math.inf] * len(columns)
+        seen, masks = 0, []
+        for t, row in enumerate(rows):
+            if t >= start:
+                masks.append(_row_mask(row, lo, hi) if seen >= min_critical else None)
+            if critical[t]:
+                seen += 1
+                lo = [min(a, v - eps) for a, v in zip(lo, row)]
+                hi = [max(b, v + eps) for b, v in zip(hi, row)]
+        return masks
+    if mode not in ("leave_one_out", "in_sample"):
+        raise ValueError(f"unknown evaluation mode {mode!r}")
+    train = list(zip(*(row for row, c in zip(rows, critical) if c)))
+    if not train:
+        return [None] * len(rows)
+    lows = [heapq.nsmallest(2, values) for values in train]
+    highs = [heapq.nlargest(2, values) for values in train]
+    lo = [s[0] - eps for s in lows]
+    hi = [s[0] + eps for s in highs]
+    masks = [_row_mask(row, lo, hi) for row in rows]
+    if mode == "leave_one_out":
+        for i, row in enumerate(rows):
+            if critical[i] and len(train[0]) == 1:
+                masks[i] = None
+            elif critical[i]:
+                # Holding out a row on an envelope edge moves that edge to the runner-up.
+                held_lo = [(s[1] if v == s[0] else s[0]) - eps for s, v in zip(lows, row)]
+                held_hi = [(s[1] if v == s[0] else s[0]) + eps for s, v in zip(highs, row)]
+                masks[i] = _row_mask(row, held_lo, held_hi)
+    return masks
+
+
 def membership_count(year_factors: Mapping[str, float], profile: IntervalProfile) -> int:
     """Number of profile intervals the year's factor values fall inside."""
-    count = 0
-    for interval in profile.intervals:
-        try:
-            value = year_factors[interval.factor]
-        except KeyError:
-            raise MissingFactorValue(interval.factor) from None
-        if interval.contains(value):
-            count += 1
-    return count
-
-
-def classify_year(
-    year_factors: Mapping[str, float], profile: IntervalProfile, rule: QuorumRule
-) -> bool:
-    """True when the year meets the quorum of interval memberships."""
-    return membership_count(year_factors, profile) >= rule.required(profile.n_factors)
+    missing = [name for name in profile.factor_names if name not in year_factors]
+    if missing:
+        raise MissingFactorValue(missing[0])
+    (mask,) = membership_masks([(year_factors[n],) for n in profile.factor_names], profile=profile)
+    return mask.bit_count()
 
 
 def evaluate_insample(
@@ -206,22 +276,16 @@ def evaluate_insample(
     come from a training subset; either way each year is scored by its
     interval memberships and the quorum.
     """
-    _check_labels(m, labels)
+    check_labels(m, labels)
     required = rule.required(profile.n_factors)
-    flagged: list[int] = []
-    memberships: dict[int, int] = {}
-    x = 0
-    y = 0
-    for i, year in enumerate(m.years):
-        count = membership_count(m.row_factors(i, profile.factor_names), profile)
-        memberships[year] = count
-        if count >= required:
-            flagged.append(year)
-            if labels.is_critical[i]:
-                x += 1
-            else:
-                y += 1
-    return RecognitionResult(tuple(flagged), x, y, precision(x, y), memberships)
+    columns = [m.factor_values(name) for name in profile.factor_names]
+    counts = [mask.bit_count() for mask in membership_masks(columns, profile=profile)]
+    flagged = [i for i, count in enumerate(counts) if count >= required]
+    x = sum(1 for i in flagged if labels.is_critical[i])
+    y = len(flagged) - x
+    return RecognitionResult(
+        tuple(m.years[i] for i in flagged), x, y, precision(x, y), dict(zip(m.years, counts))
+    )
 
 
 def precision(x: int, y: int) -> float | None:

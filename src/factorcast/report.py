@@ -18,17 +18,12 @@ from typing import Mapping
 
 from .backtest import BacktestResult
 from .errors import ProfileError
-from .matrix import CriticalLabels, TemporalMatrix
+from .matrix import CriticalLabels, TemporalMatrix, format_number
 from .recognizer import IntervalProfile, QuorumRule, RecognitionResult
 from .sweeps import SweepReport
 
 PROFILE_FORMAT = "factorcast-profile"
 PROFILE_VERSION = 1
-
-
-def format_number(v: float) -> str:
-    """Shortest decimal string that round-trips to the same float."""
-    return repr(float(v))
 
 
 def _cell(v) -> str:
@@ -317,6 +312,6 @@ def profile_from_json(text: str) -> tuple[IntervalProfile, QuorumRule]:
     try:
         profile = IntervalProfile.from_dict(doc["profile"])
         rule = QuorumRule(float(doc["quorum"]))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ProfileError(f"malformed profile document: {exc}") from None
     return profile, rule

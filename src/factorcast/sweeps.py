@@ -9,12 +9,12 @@ always matches the grid.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, replace
 from itertools import combinations
-from typing import Sequence
 
-from .backtest import BacktestConfig, BacktestResult, rolling_backtest
-from .errors import InvalidQuorum, LagTooLarge, TooManyFactors, WindowTooShort
+from .backtest import BacktestConfig, evaluation_masks, tally
+from .errors import TooManyFactors, WindowTooShort
 from .matrix import (
     CriticalLabels,
     CriticalThreshold,
@@ -23,7 +23,7 @@ from .matrix import (
     apply_uniform_lag,
     label_critical,
 )
-from .recognizer import QuorumRule
+from .recognizer import QuorumRule, precision
 
 MAX_SUBSET_FACTORS = 16
 
@@ -75,12 +75,29 @@ class SweepReport:
     rows: tuple[SweepRow, ...]
 
 
-def _ok_row(label: str, result: BacktestResult) -> SweepRow:
-    return SweepRow(label, "ok", result.x, result.y, result.p, result.n_no_forecast)
+def _ok_row(label: str, x: int, y: int, n_no_forecast: int) -> SweepRow:
+    return SweepRow(label, "ok", x, y, precision(x, y), n_no_forecast)
 
 
 def _skipped_row(label: str, note: str) -> SweepRow:
     return SweepRow(label, "skipped", None, None, None, None, note)
+
+
+def _grid_point_row(
+    label: str,
+    m: TemporalMatrix,
+    labels: CriticalLabels,
+    spec: SweepSpec,
+    cfg: BacktestConfig,
+    skip_few_critical: bool = True,
+) -> SweepRow:
+    """One grid point of a sweep that changes the data or its labels: one kernel pass."""
+    if skip_few_critical and labels.n_critical < cfg.min_train_critical:
+        note = f"{labels.n_critical} critical years, {cfg.min_train_critical} required"
+        return _skipped_row(label, note)
+    n = spec.selection.n_factors
+    groups = Counter(zip(*evaluation_masks(m, labels, spec.selection.names, cfg)))
+    return _ok_row(label, *tally(groups, (1 << n) - 1, cfg.rule.required(n)))
 
 
 def enumerate_subsets(selection: FactorSelection) -> tuple[FactorSelection, ...]:
@@ -100,6 +117,10 @@ def subset_sweep(
 ) -> SweepReport:
     """Evaluate every factor subset in the grid with the base configuration.
 
+    A factor's membership bit does not depend on the subset, so the sweep is
+    one kernel pass over the union of the grid's factors, then one AND and
+    one popcount per (subset, distinct mask).
+
     More factors does not always mean higher precision: under a partial
     quorum an uninformative factor can vote otherwise-rejected years past
     the requirement, so supersets may score strictly worse.
@@ -108,26 +129,28 @@ def subset_sweep(
         subsets = enumerate_subsets(spec.selection)
     else:
         subsets = tuple(FactorSelection(names) for names in spec.grid)
+    names = tuple(dict.fromkeys(name for subset in subsets for name in subset.names))
+    groups = Counter(zip(*evaluation_masks(m, labels, names, spec.config)))
+    bit = {name: 1 << j for j, name in enumerate(names)}
     rows = []
     for subset in subsets:
-        subset.validate_against(m)
-        result = rolling_backtest(m, labels, subset, spec.config)
-        rows.append(_ok_row("+".join(subset.names), result))
+        subset_bits = sum(bit[name] for name in subset.names)
+        counts = tally(groups, subset_bits, spec.config.rule.required(subset.n_factors))
+        rows.append(_ok_row("+".join(subset.names), *counts))
     return SweepReport("factor_subset", tuple(rows))
 
 
 def quorum_sweep(
     m: TemporalMatrix, labels: CriticalLabels, spec: SweepSpec
 ) -> SweepReport:
-    """One row per quorum fraction; flagged counts are non-increasing in q."""
-    rows = []
-    for q in spec.grid:
-        q = float(q)
-        if not (0.0 < q <= 1.0):
-            raise InvalidQuorum(q)
-        cfg = replace(spec.config, rule=QuorumRule(q))
-        result = rolling_backtest(m, labels, spec.selection, cfg)
-        rows.append(_ok_row(repr(q), result))
+    """One row per quorum fraction; flagged counts are non-increasing in q.
+
+    One kernel pass serves the whole grid: only ``required`` changes.
+    """
+    rules = [QuorumRule(float(q)) for q in spec.grid]
+    n = spec.selection.n_factors
+    groups = Counter(zip(*evaluation_masks(m, labels, spec.selection.names, spec.config)))
+    rows = [_ok_row(repr(r.q), *tally(groups, (1 << n) - 1, r.required(n))) for r in rules]
     return SweepReport("quorum", tuple(rows))
 
 
@@ -140,20 +163,9 @@ def threshold_sensitivity(m: TemporalMatrix, spec: SweepSpec) -> SweepReport:
     rows = []
     for value in spec.grid:
         threshold = CriticalThreshold(float(value), "selected")
-        labels = label_critical(m, threshold)
-        label = repr(threshold.value)
-        if labels.n_critical < spec.config.min_train_critical:
-            rows.append(
-                _skipped_row(
-                    label,
-                    f"{labels.n_critical} critical years,"
-                    f" {spec.config.min_train_critical} required",
-                )
-            )
-            continue
         cfg = replace(spec.config, threshold=threshold)
-        result = rolling_backtest(m, labels, spec.selection, cfg)
-        rows.append(_ok_row(label, result))
+        labels = label_critical(m, threshold)
+        rows.append(_grid_point_row(repr(threshold.value), m, labels, spec, cfg))
     return SweepReport("threshold", tuple(rows))
 
 
@@ -162,12 +174,9 @@ def lag_sweep(m: TemporalMatrix, labels: CriticalLabels, spec: SweepSpec) -> Swe
     rows = []
     for lag in spec.grid:
         lag = int(lag)
-        if lag >= m.n_years:
-            raise LagTooLarge(lag, m.n_years)
         lagged = apply_uniform_lag(m, spec.selection.names, lag)
         lagged_labels = label_critical(lagged, labels.threshold)
-        result = rolling_backtest(lagged, lagged_labels, spec.selection, spec.config)
-        rows.append(_ok_row(str(lag), result))
+        rows.append(_grid_point_row(str(lag), lagged, lagged_labels, spec, spec.config, False))
     return SweepReport("lag", tuple(rows))
 
 
@@ -191,17 +200,7 @@ def row_length_sweep(
             continue
         window = m.suffix(k)
         window_labels = label_critical(window, labels.threshold)
-        if window_labels.n_critical < spec.config.min_train_critical:
-            rows.append(
-                _skipped_row(
-                    label,
-                    f"{window_labels.n_critical} critical years,"
-                    f" {spec.config.min_train_critical} required",
-                )
-            )
-            continue
-        result = rolling_backtest(window, window_labels, spec.selection, spec.config)
-        rows.append(_ok_row(label, result))
+        rows.append(_grid_point_row(label, window, window_labels, spec, spec.config))
     return SweepReport("row_length", tuple(rows))
 
 

@@ -14,14 +14,14 @@ from factorcast import (
     TemporalMatrix,
     build_profile,
     evaluate_insample,
-    forecast_next,
     generate,
     label_critical,
     rolling_backtest,
     select_threshold,
 )
-from factorcast.errors import InsufficientYears
+from factorcast.errors import InsufficientYears, LabelMismatch
 
+from _reference_backtest import forecast_next
 from _support import random_instance
 
 
@@ -250,6 +250,21 @@ class TestConfig:
             BacktestConfig(rule=rule, threshold=threshold, min_train_years=2)
         with pytest.raises(ValueError):
             BacktestConfig(rule=rule, threshold=threshold, eval_mode="bogus")
+
+    def test_non_finite_widen_eps_rejected(self):
+        rule, threshold = QuorumRule(1.0), CriticalThreshold(1.0)
+        for eps in (float("nan"), float("inf"), -0.5):
+            with pytest.raises(ValueError):
+                BacktestConfig(rule=rule, threshold=threshold, widen_eps=eps)
+
+    def test_year_mismatch_raises_label_mismatch(self):
+        labels = label_critical(WORKED.window(0, 5), CriticalThreshold(8.0))
+        cfg = BacktestConfig(rule=QuorumRule(1.0), threshold=CriticalThreshold(8.0))
+        for mode in ("rolling", "leave_one_out", "in_sample"):
+            with pytest.raises(LabelMismatch):
+                rolling_backtest(
+                    WORKED, labels, FactorSelection(("f",)), replace(cfg, eval_mode=mode)
+                )
 
     def test_threshold_mismatch_rejected(self):
         labels = label_critical(WORKED, CriticalThreshold(8.0))

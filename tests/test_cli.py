@@ -182,3 +182,68 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as err:
             main(["sweep", *we_args(workdir, "--axis", "quorum", "--grid", "0.5,1.0")])
         assert err.value.code == 1
+
+
+class TestBadInput:
+    """Each bad input gives one ``error:`` line and exit 2, or a usage error."""
+
+    def classify(self, workdir, path, profile=None):
+        return main(
+            [
+                "classify",
+                "--input", str(path),
+                "--profile", str(profile or workdir / "profile.json"),
+            ]
+        )
+
+    def test_classify_non_utf8_input(self, workdir, tmp_path, capsys):
+        rows = tmp_path / "rows.csv"
+        rows.write_bytes(b"year,may_temp\n2031,6.5\xff\n")
+        assert self.classify(workdir, rows) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "not UTF-8" in err
+        assert err.count("\n") == 1
+
+    def test_classify_non_utf8_profile(self, workdir, tmp_path, capsys):
+        profile = tmp_path / "bad_profile.json"
+        profile.write_bytes(b"\xff\xfe{}")
+        assert self.classify(workdir, workdir / "worked_example.csv", profile) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read profile") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "NaN"])
+    def test_classify_rejects_non_finite_cells(self, workdir, tmp_path, capsys, cell):
+        rows = tmp_path / "rows.csv"
+        rows.write_text(f"year,may_temp\n2031,6.5\n2032,{cell}\n", encoding="utf-8")
+        assert self.classify(workdir, rows) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: non-numeric value in row 3, column 'may_temp' ({cell!r})\n"
+
+    def test_classify_rejects_duplicate_years(self, workdir, tmp_path, capsys):
+        rows = tmp_path / "rows.csv"
+        rows.write_text("year,may_temp\n2031,6.5\n2031,1.0\n", encoding="utf-8")
+        assert self.classify(workdir, rows) == 2
+        assert capsys.readouterr().err == "error: duplicate year 2031\n"
+
+    def test_classify_rejects_profile_with_nan_bound(self, workdir, tmp_path, capsys):
+        doc = json.loads((workdir / "profile.json").read_text(encoding="utf-8"))
+        doc["profile"]["intervals"][0]["lo"] = float("nan")
+        profile = tmp_path / "nan_profile.json"
+        profile.write_text(json.dumps(doc), encoding="utf-8")
+        assert self.classify(workdir, workdir / "worked_example.csv", profile) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: malformed profile document") and err.count("\n") == 1
+
+    def test_sweep_lag_axis_rejects_lag_flag(self, workdir, capsys):
+        base = ["sweep", *we_args(workdir, "--threshold", "8", "--axis", "lag", "--grid", "0,1")]
+        with pytest.raises(SystemExit) as err:
+            main([*base, "--lag", "1"])
+        assert err.value.code == 1
+        assert "--lag cannot be combined with --axis lag" in capsys.readouterr().err
+        assert main([*base, "--lag", "0"]) == 0
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_widen_eps_is_usage_error(self, workdir, capsys, value):
+        with pytest.raises(SystemExit) as err:
+            main(["fit", *we_args(workdir, "--threshold", "8", "--widen-eps", value)])
+        assert err.value.code == 1

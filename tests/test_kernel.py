@@ -1,0 +1,210 @@
+"""The membership kernel against the slow per-origin reference.
+
+Every backtest mode and every sweep axis reads ``membership_masks``; these
+property tests compare them with ``_reference_backtest``, which rebuilds a
+prefix matrix and its profile at every origin. Factor values come from the
+half-unit ``VALUE_GRID``, so many values sit exactly on an envelope edge.
+"""
+
+from dataclasses import replace
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from factorcast import (
+    BacktestConfig,
+    CriticalLabels,
+    CriticalThreshold,
+    FactorSelection,
+    QuorumRule,
+    TemporalMatrix,
+    label_critical,
+    lag_sweep,
+    quorum_sweep,
+    rolling_backtest,
+    row_length_sweep,
+    subset_sweep,
+    threshold_sensitivity,
+)
+from factorcast.backtest import EVAL_MODES
+from factorcast.recognizer import membership_masks
+from factorcast.sweeps import SweepSpec
+
+from _reference_backtest import reference_backtest
+from _support import QUORUM_CHOICES, VALUE_GRID
+
+EPS_CHOICES = (0.0, 0.0, 0.1, 0.25, 0.5, 1.0)
+
+
+@st.composite
+def matrices(draw, n_min=1, n_max=14, f_max=4):
+    n = draw(st.integers(n_min, n_max))
+    f = draw(st.integers(1, f_max))
+    incidence = draw(st.lists(st.integers(0, 12).map(float), min_size=n, max_size=n))
+    names = tuple(f"g{j}" for j in range(1, f + 1))
+    columns = {
+        name: tuple(draw(st.lists(st.sampled_from(VALUE_GRID), min_size=n, max_size=n)))
+        for name in names
+    }
+    return TemporalMatrix(tuple(range(2000, 2000 + n)), tuple(incidence), names, columns)
+
+
+@st.composite
+def configurations(draw, mode=None):
+    """A matrix, labels, a selection and a backtest configuration.
+
+    The threshold is an observed incidence (often the maximum, so one
+    critical year) or lies above every one (zero critical years). Sometimes
+    the labels' flags differ from the threshold's, which tells apart the
+    rolling training labels (from the threshold) and the truth (from the
+    flags).
+    """
+    m = draw(matrices())
+    top = max(m.incidence)
+    value = draw(st.sampled_from((top, top, top + 1.0, *sorted(set(m.incidence)))))
+    labels = label_critical(m, CriticalThreshold(value))
+    if draw(st.integers(0, 4)) == 0:
+        flags = draw(st.lists(st.booleans(), min_size=m.n_years, max_size=m.n_years))
+        labels = CriticalLabels(m.years, tuple(flags), labels.threshold)
+    order = draw(st.permutations(m.factor_names))
+    selection = FactorSelection(tuple(order[: draw(st.integers(1, len(order)))]))
+    cfg = BacktestConfig(
+        rule=QuorumRule(draw(st.sampled_from(QUORUM_CHOICES))),
+        threshold=labels.threshold,
+        min_train_years=draw(st.integers(3, max(3, m.n_years))),
+        min_train_critical=draw(st.integers(2, 4)),
+        eval_mode=mode or draw(st.sampled_from(EVAL_MODES)),
+        widen_eps=draw(st.sampled_from(EPS_CHOICES)),
+    )
+    return m, labels, selection, cfg
+
+
+def verdict_tuples(result):
+    return [(v.year, v.prediction, v.membership, v.truth) for v in result.verdicts]
+
+
+def counts(result):
+    return (result.x, result.y, result.p, result.n_no_forecast)
+
+
+def row_counts(row):
+    return (row.x, row.y, row.p, row.n_no_forecast)
+
+
+def assert_same_backtest(m, labels, selection, cfg):
+    fast = rolling_backtest(m, labels, selection, cfg)
+    slow = reference_backtest(m, labels, selection, cfg)
+    assert verdict_tuples(fast) == verdict_tuples(slow)
+    assert counts(fast) == counts(slow)
+
+
+@pytest.mark.parametrize("mode", EVAL_MODES)
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_backtest_matches_reference(mode, data):
+    assert_same_backtest(*data.draw(configurations(mode)))
+
+
+@pytest.mark.parametrize("mode", EVAL_MODES)
+@pytest.mark.parametrize("n_critical", (0, 1))
+def test_zero_or_one_critical_year_matches_reference(mode, n_critical):
+    incidence = (1.0, 2.0, 9.0 if n_critical else 1.0, 3.0, 2.0, 1.0)
+    m = TemporalMatrix(
+        tuple(range(2000, 2006)),
+        incidence,
+        ("a", "b"),
+        {"a": (0.5, 1.0, 1.0, 1.5, 1.0, 0.0), "b": (2.0, 2.5, 3.0, 3.0, 2.5, 3.5)},
+    )
+    threshold = CriticalThreshold(9.0)
+    labels = label_critical(m, threshold)
+    assert labels.n_critical == n_critical
+    for eps in (0.0, 0.5):
+        cfg = BacktestConfig(
+            QuorumRule(0.5), threshold, min_train_years=3, eval_mode=mode, widen_eps=eps
+        )
+        assert_same_backtest(m, labels, FactorSelection(("a", "b")), cfg)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_subset_sweep_rows_match_one_reference_backtest_each(data):
+    m, labels, selection, cfg = data.draw(configurations())
+    report = subset_sweep(m, labels, SweepSpec("factor_subset", selection, cfg))
+    assert len(report.rows) == (1 << selection.n_factors) - 1
+    for row in report.rows:
+        subset = FactorSelection(tuple(row.configuration.split("+")))
+        assert row.status == "ok"
+        assert row_counts(row) == counts(reference_backtest(m, labels, subset, cfg))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_quorum_sweep_rows_match_one_reference_backtest_each(data):
+    m, labels, selection, cfg = data.draw(configurations())
+    grid = tuple(sorted(data.draw(st.sets(st.sampled_from(QUORUM_CHOICES), min_size=1))))
+    report = quorum_sweep(m, labels, SweepSpec("quorum", selection, cfg, grid))
+    for q, row in zip(grid, report.rows):
+        expected = reference_backtest(m, labels, selection, replace(cfg, rule=QuorumRule(q)))
+        assert row_counts(row) == counts(expected)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_data_changing_sweeps_match_reference(data):
+    m, labels, selection, cfg = data.draw(configurations())
+    labels = label_critical(m, labels.threshold)
+
+    grid = tuple(sorted(set(m.incidence)))
+    report = threshold_sensitivity(m, SweepSpec("threshold", selection, cfg, grid))
+    for value, row in zip(grid, report.rows):
+        relabeled = label_critical(m, CriticalThreshold(value, "selected"))
+        if row.status == "ok":
+            cfg_t = replace(cfg, threshold=relabeled.threshold)
+            assert row_counts(row) == counts(reference_backtest(m, relabeled, selection, cfg_t))
+        else:
+            assert relabeled.n_critical < cfg.min_train_critical
+
+    lags = tuple(range(min(3, m.n_years)))
+    report = lag_sweep(m, labels, SweepSpec("lag", selection, cfg, lags))
+    for lag, row in zip(lags, report.rows):
+        lagged = m if lag == 0 else TemporalMatrix(
+            m.years[lag:],
+            m.incidence[lag:],
+            m.factor_names,
+            {
+                name: col[: m.n_years - lag] if name in selection.names else col[lag:]
+                for name, col in m.columns.items()
+            },
+        )
+        lagged_labels = label_critical(lagged, labels.threshold)
+        assert row_counts(row) == counts(reference_backtest(lagged, lagged_labels, selection, cfg))
+
+    lengths = tuple(range(cfg.min_train_years, m.n_years + 2))
+    if not lengths:
+        return
+    report = row_length_sweep(m, labels, SweepSpec("row_length", selection, cfg, lengths))
+    for k, row in zip(lengths, report.rows):
+        if row.status == "skipped":
+            continue
+        window = m.suffix(k)
+        window_labels = label_critical(window, labels.threshold)
+        assert row_counts(row) == counts(
+            reference_backtest(window, window_labels, selection, cfg)
+        )
+
+
+def test_kernel_bits_name_the_factors_inside():
+    columns = [(0.0, 1.0, 2.0, 3.0), (5.0, 5.0, 9.0, 5.0)]
+    critical = (True, False, True, False)
+    # Envelopes over the critical rows: [0, 2] and [5, 9].
+    assert membership_masks(columns, critical) == [0b11, 0b11, 0b11, 0b10]
+    # Held out, row 0 sees [2, 2] and [9, 9]; row 2 sees [0, 0] and [5, 5].
+    assert membership_masks(columns, critical, "leave_one_out") == [0b00, 0b11, 0b00, 0b10]
+    # Rows 1 and 2 see row 0 alone, [0, 0] and [5, 5]; row 3 sees [0, 2] and [5, 9].
+    assert membership_masks(columns, critical, "rolling") == [None, 0b10, 0b00, 0b10]
+    assert membership_masks(columns, critical, "rolling", start=2, widen_eps=2.0) == [
+        0b01,
+        0b11,
+    ]
+    assert membership_masks(columns, (False,) * 4, "in_sample") == [None] * 4

@@ -10,7 +10,6 @@ from factorcast import (
     CriticalThreshold,
     FactorSelection,
     TemporalMatrix,
-    apply_lag,
     apply_uniform_lag,
     label_critical,
     parse_matrix,
@@ -152,13 +151,13 @@ class TestLabeling:
 class TestLag:
     def test_lag_zero_identity(self):
         m = parse_matrix(THREE_YEARS)
-        assert apply_lag(m, "jan_temp", 0) is m
+        assert apply_uniform_lag(m, ("jan_temp",), 0) is m
 
     def test_lag_one_alignment(self):
         m = make_matrix(
             (1.0, 2.0, 3.0, 4.0, 5.0), f=(10.0, 20.0, 30.0, 40.0, 50.0)
         )
-        lagged = apply_lag(m, "f", 1)
+        lagged = apply_uniform_lag(m, ("f",), 1)
         assert lagged.n_years == 4
         assert lagged.years == (2001, 2002, 2003, 2004)
         # 2001's factor value comes from 2000
@@ -171,19 +170,19 @@ class TestLag:
             a=(10.0, 20.0, 30.0, 40.0),
             b=(1.5, 2.5, 3.5, 4.5),
         )
-        lagged = apply_lag(m, "a", 1)
+        lagged = apply_uniform_lag(m, ("a",), 1)
         assert lagged.factor_values("a") == (10.0, 20.0, 30.0)
         assert lagged.factor_values("b") == (2.5, 3.5, 4.5)
 
     def test_lag_too_large(self):
         m = make_matrix((1.0, 2.0, 3.0, 4.0, 5.0), f=(1.0, 2.0, 3.0, 4.0, 5.0))
         with pytest.raises(LagTooLarge):
-            apply_lag(m, "f", 5)
+            apply_uniform_lag(m, ("f",), 5)
 
     def test_unknown_factor(self):
         m = parse_matrix(THREE_YEARS)
         with pytest.raises(UnknownFactor):
-            apply_lag(m, "nope", 1)
+            apply_uniform_lag(m, ("nope",), 1)
 
     @settings(max_examples=60)
     @given(st.integers(0, 2**32), st.integers(0, 2), st.integers(0, 2))
@@ -191,8 +190,8 @@ class TestLag:
         rng = random.Random(seed)
         m = random_matrix(rng, n_min=8, n_max=12)
         name = m.factor_names[0]
-        twice = apply_lag(apply_lag(m, name, l1), name, l2)
-        once = apply_lag(m, name, l1 + l2)
+        twice = apply_uniform_lag(apply_uniform_lag(m, (name,), l1), (name,), l2)
+        once = apply_uniform_lag(m, (name,), l1 + l2)
         assert twice == once
 
     def test_uniform_lag_drops_rows_once(self):

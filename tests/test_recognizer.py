@@ -14,7 +14,6 @@ from factorcast import (
     QuorumRule,
     TemporalMatrix,
     build_profile,
-    classify_year,
     evaluate_insample,
     label_critical,
     membership_count,
@@ -27,6 +26,7 @@ from factorcast.errors import (
 )
 from factorcast.synth import oracle_evaluate
 
+from _reference_backtest import row_factors
 from _support import random_instance
 
 
@@ -65,7 +65,7 @@ class TestBuildProfile:
             profile = build_profile(m, labels, selection)
             for i, critical in enumerate(labels.is_critical):
                 if critical:
-                    count = membership_count(m.row_factors(i), profile)
+                    count = membership_count(row_factors(m, i, m.factor_names), profile)
                     assert count == selection.n_factors
 
 
@@ -93,6 +93,13 @@ class TestMembership:
         with pytest.raises(MissingFactorValue):
             membership_count({"b": 1.0}, profile)
 
+    def test_non_finite_bounds_rejected(self):
+        nan, inf = float("nan"), float("inf")
+        for lo, hi, eps in ((nan, 1.0, 0.0), (0.0, nan, 0.0), (-inf, 1.0, 0.0),
+                            (0.0, inf, 0.0), (0.0, 1.0, nan), (0.0, 1.0, inf)):
+            with pytest.raises(ValueError):
+                FactorInterval("a", lo, hi, eps)
+
     def test_widen_eps(self):
         profile = IntervalProfile((FactorInterval("a", 1.0, 1.0, widen_eps=0.5),), 1)
         assert membership_count({"a": 1.4}, profile) == 1
@@ -106,8 +113,9 @@ class TestClassify:
         )
         inside3 = {"a": 0.5, "b": 0.5, "c": 0.5, "d": 9.0}
         inside2 = {"a": 0.5, "b": 0.5, "c": 9.0, "d": 9.0}
-        assert classify_year(inside3, profile, QuorumRule(0.75)) is True
-        assert classify_year(inside2, profile, QuorumRule(0.75)) is False
+        required = QuorumRule(0.75).required(profile.n_factors)
+        assert membership_count(inside3, profile) >= required
+        assert membership_count(inside2, profile) < required
 
     def test_full_quorum_requires_all(self):
         profile = IntervalProfile(
@@ -115,8 +123,9 @@ class TestClassify:
         )
         all_in = {"a": 0.5, "b": 0.5, "c": 0.5}
         one_out = {"a": 0.5, "b": 0.5, "c": 2.0}
-        assert classify_year(all_in, profile, QuorumRule(1.0)) is True
-        assert classify_year(one_out, profile, QuorumRule(1.0)) is False
+        required = QuorumRule(1.0).required(profile.n_factors)
+        assert membership_count(all_in, profile) >= required
+        assert membership_count(one_out, profile) < required
 
     def test_required_counts(self):
         assert QuorumRule(0.75).required(4) == 3

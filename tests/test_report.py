@@ -153,3 +153,21 @@ class TestProfilePersistence:
             profile_from_json(
                 json.dumps({"format": "factorcast-profile", "version": 1, "quorum": 0.5})
             )
+
+    @pytest.mark.parametrize("field", ["lo", "hi", "widen_eps"])
+    def test_rejects_non_finite_interval_numbers(self, field):
+        m, labels = fixture()
+        profile = build_profile(m, labels, FactorSelection(("f",)))
+        doc = json.loads(profile_to_json(profile, QuorumRule(0.75)))
+        doc["profile"]["intervals"][0][field] = float("nan")
+        # json.dumps writes NaN, which json.loads reads back as a float NaN.
+        with pytest.raises(ProfileError):
+            profile_from_json(json.dumps(doc))
+
+    def test_rejects_infinite_training_count(self):
+        m, labels = fixture()
+        profile = build_profile(m, labels, FactorSelection(("f",)))
+        doc = json.loads(profile_to_json(profile, QuorumRule(0.75)))
+        doc["profile"]["n_critical_train"] = float("inf")
+        with pytest.raises(ProfileError):
+            profile_from_json(json.dumps(doc))
