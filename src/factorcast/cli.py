@@ -20,14 +20,7 @@ from pathlib import Path
 
 from . import __version__
 from .backtest import BacktestConfig, rolling_backtest, select_threshold
-from .errors import (
-    DuplicateYear,
-    FactorcastError,
-    InsufficientCriticalYears,
-    MatrixError,
-    MissingFactorValue,
-    NonNumericCell,
-)
+from .errors import FactorcastError, InsufficientCriticalYears, MatrixError
 from .matrix import (
     CriticalThreshold,
     FactorSelection,
@@ -35,7 +28,7 @@ from .matrix import (
     apply_uniform_lag,
     label_critical,
     parse_matrix,
-    read_csv_rows,
+    read_columns,
 )
 from .recognizer import QuorumRule, build_profile, evaluate_insample, membership_masks
 from .report import (
@@ -294,47 +287,6 @@ def cmd_fit(args) -> int:
     return 0
 
 
-def _parse_factor_rows(
-    text: str, wanted: tuple[str, ...]
-) -> tuple[tuple[int, ...], list[list[float]]]:
-    """Years and the wanted factor columns of a relaxed CSV: year plus factor columns.
-
-    An ``incidence`` column, if present, is ignored; extra columns are too.
-    Row order is kept; a repeated year or a non-finite cell is an error.
-    """
-    header, rows = read_csv_rows(text)
-    if not header or header[0] != "year":
-        raise MatrixError("header must start with 'year'")
-    positions = []
-    for name in wanted:
-        try:
-            positions.append(header.index(name))
-        except ValueError:
-            raise MissingFactorValue(name) from None
-    years: dict[int, None] = {}  # insertion-ordered set
-    columns: list[list[float]] = [[] for _ in wanted]
-    for lineno, raw in enumerate(rows, start=2):
-        cells = [cell.strip() for cell in raw]
-        if len(cells) != len(header):
-            raise MatrixError(f"row {lineno} has {len(cells)} cells, expected {len(header)}")
-        try:
-            year = int(cells[0])
-        except ValueError:
-            raise NonNumericCell(lineno, "year", cells[0]) from None
-        if year in years:
-            raise DuplicateYear(year)
-        years[year] = None
-        for column, idx in zip(columns, positions):
-            try:
-                value = float(cells[idx])
-            except ValueError:
-                value = math.nan
-            if not math.isfinite(value):
-                raise NonNumericCell(lineno, header[idx], cells[idx])
-            column.append(value)
-    return tuple(years), columns
-
-
 def cmd_classify(args) -> int:
     try:
         profile_text = Path(args.profile).read_text(encoding="utf-8")
@@ -342,8 +294,9 @@ def cmd_classify(args) -> int:
         raise MatrixError(f"cannot read profile {args.profile!r}: {exc}") from None
     profile, rule = profile_from_json(profile_text)
 
-    digest, (years, columns) = _read_input(
-        args.input, lambda text: _parse_factor_rows(text, profile.factor_names)
+    digest, (_, years, columns) = _read_input(
+        args.input,
+        lambda text: read_columns(text, ("year",), profile.factor_names, distinct_years=True),
     )
     masks = membership_masks(columns, profile=profile)
     scored = tuple((year, mask.bit_count()) for year, mask in zip(years, masks))
@@ -402,12 +355,14 @@ def _parse_grid(args, parser_error) -> tuple | None:
     values = [part.strip() for part in raw.split(",") if part.strip()]
     if not values:
         parser_error("empty --grid")
+    convert = int if args.axis in ("lag", "row_length") else float
     try:
-        if args.axis in ("lag", "row_length"):
-            return tuple(int(v) for v in values)
-        return tuple(float(v) for v in values)
+        grid = tuple(convert(v) for v in values)
     except ValueError:
         parser_error(f"invalid --grid value in {raw!r}")
+    if args.axis == "lag" and min(grid) < 0:
+        parser_error(f"lags must be non-negative, got --grid {raw!r}")
+    return grid
 
 
 def cmd_sweep(args) -> int:

@@ -16,6 +16,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Literal, Mapping
 
@@ -27,6 +28,7 @@ from .errors import (
     LagTooLarge,
     MatrixError,
     MissingCell,
+    MissingFactorValue,
     NoFactors,
     NonNumericCell,
     TooFewRows,
@@ -58,24 +60,27 @@ class TemporalMatrix:
     columns: Mapping[str, tuple[float, ...]]
 
     def __post_init__(self):
-        object.__setattr__(self, "years", tuple(int(y) for y in self.years))
-        object.__setattr__(self, "incidence", tuple(float(v) for v in self.incidence))
+        object.__setattr__(self, "years", tuple(map(int, self.years)))
+        object.__setattr__(self, "incidence", tuple(map(float, self.incidence)))
         object.__setattr__(self, "factor_names", tuple(self.factor_names))
         object.__setattr__(
             self,
             "columns",
-            {name: tuple(float(v) for v in col) for name, col in self.columns.items()},
+            {name: tuple(map(float, col)) for name, col in self.columns.items()},
         )
         self._validate()
 
     def _validate(self) -> None:
-        if len(self.years) < 1:
+        """Check the invariants a column at a time; scan rows only to word an error."""
+        years = self.years
+        if len(years) < 1:
             raise MatrixError("matrix must contain at least one year row")
-        for a, b in zip(self.years, self.years[1:]):
-            if a == b:
-                raise DuplicateYear(a)
-            if a > b:
-                raise MatrixError("years must be strictly increasing")
+        if not all(map(operator.lt, years, years[1:])):
+            for a, b in zip(years, years[1:]):
+                if a == b:
+                    raise DuplicateYear(a)
+                if a > b:
+                    raise MatrixError("years must be strictly increasing")
         if not self.factor_names:
             raise NoFactors()
         seen = set()
@@ -85,21 +90,22 @@ class TemporalMatrix:
             seen.add(name)
         if set(self.columns) != seen:
             raise MatrixError("factor columns do not match factor names")
-        n = len(self.years)
+        n = len(years)
         if len(self.incidence) != n:
             raise MatrixError("incidence column length does not match years")
-        for year, v in zip(self.years, self.incidence):
-            if not math.isfinite(v):
-                raise MatrixError(f"non-finite incidence for year {year}")
-            if v < 0:
-                raise MatrixError(f"negative incidence for year {year}")
+        if not (all(map(math.isfinite, self.incidence)) and min(self.incidence) >= 0):
+            for year, v in zip(years, self.incidence):
+                if not math.isfinite(v):
+                    raise MatrixError(f"non-finite incidence for year {year}")
+                if v < 0:
+                    raise MatrixError(f"negative incidence for year {year}")
         for name in self.factor_names:
             col = self.columns[name]
             if len(col) != n:
                 raise MatrixError(f"factor column {name!r} length does not match years")
-            for year, v in zip(self.years, col):
-                if not math.isfinite(v):
-                    raise MatrixError(f"non-finite value for factor {name!r}, year {year}")
+            if not all(map(math.isfinite, col)):
+                year = next(y for y, v in zip(years, col) if not math.isfinite(v))
+                raise MatrixError(f"non-finite value for factor {name!r}, year {year}")
 
     @property
     def n_years(self) -> int:
@@ -139,12 +145,11 @@ class TemporalMatrix:
         ``parse_matrix(m.to_csv()) == m`` exactly.
         """
         out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["year", "incidence", *self.factor_names])
-        for i, year in enumerate(self.years):
-            row = [str(year), format_number(self.incidence[i])]
-            row.extend(format_number(self.columns[name][i]) for name in self.factor_names)
-            writer.writerow(row)
+        # Factor names may need quoting; numerals never do, so body rows are plain joins.
+        csv.writer(out, lineterminator="\n").writerow(["year", "incidence", *self.factor_names])
+        columns = (self.incidence, *(self.columns[name] for name in self.factor_names))
+        cells = (map(str, self.years), *(map(format_number, col) for col in columns))
+        out.writelines([",".join(row) + "\n" for row in zip(*cells)])
         return out.getvalue()
 
 
@@ -220,17 +225,103 @@ class FactorSelection:
         return cls(m.factor_names)
 
 
-def read_csv_rows(text: str) -> tuple[list[str], list[list[str]]]:
-    """Stripped header cells and the data rows of a CSV document.
+def read_columns(
+    text: str,
+    leading: tuple[str, ...],
+    factors: Iterable[str] | None = None,
+    *,
+    distinct_years: bool = False,
+) -> tuple[list[str], tuple[int, ...], list[tuple[float, ...]]]:
+    """Years and float columns of a CSV document, converted a column at a time.
 
-    Trailing blank lines are dropped; a document with no header is an error.
+    The header starts with the ``leading`` cells: the integer year column,
+    then float columns. The ``factors`` columns follow, each the first header
+    cell of that name; ``None`` takes every later column, which must then be
+    named. Other columns are not converted, but every row must be as wide as
+    the header. ``distinct_years`` rejects a repeated year where it repeats.
+    Returns the float columns' names, the years and the columns, in row order.
+    When a check fails, ``_read_rows`` reads again row by row to report the
+    first bad row (the header is row 1).
     """
-    rows = list(csv.reader(io.StringIO(text)))
+    reader = csv.reader(io.StringIO(text))
+    try:
+        rows = list(reader)
+    except csv.Error as exc:
+        raise MatrixError(f"malformed CSV at line {reader.line_num}: {exc}") from None
     while rows and rows[-1] == []:
         rows.pop()
     if not rows:
         raise MatrixError("empty document")
-    return [cell.strip() for cell in rows[0]], rows[1:]
+    header, rows = [cell.strip() for cell in rows[0]], rows[1:]
+    if header[: len(leading)] != list(leading):
+        raise MatrixError(f"header must start with {','.join(leading)!r}")
+    if factors is None:
+        if len(header) == len(leading):
+            raise NoFactors()
+        if not all(header[len(leading) :]):
+            raise MatrixError("factor names must be non-empty")
+        positions = list(range(1, len(header)))
+    else:
+        positions = list(range(1, len(leading)))
+        for name in factors:
+            try:
+                positions.append(header.index(name))
+            except ValueError:
+                raise MissingFactorValue(name) from None
+    names = [header[i] for i in positions]
+    try:
+        if set(map(len, rows)) <= {len(header)}:
+            cells = list(zip(*rows)) or [()] * len(header)
+            years = tuple(map(int, cells[0]))
+            columns = [tuple(map(float, cells[i])) for i in positions]
+            if all(all(map(math.isfinite, col)) for col in columns) and not (
+                distinct_years and len(set(years)) < len(years)
+            ):
+                return names, years, columns
+    except ValueError:
+        pass
+    return names, *_read_rows(header, rows, positions, distinct_years)
+
+
+def _read_rows(
+    header: list[str], rows: list[list[str]], positions: list[int], distinct_years: bool
+) -> tuple[tuple[int, ...], list[tuple[float, ...]]]:
+    """``read_columns`` row by row: per row its width, year, repeat, then floats.
+
+    Cells are stripped first: ``str.strip`` removes a few control characters
+    that ``int`` and ``float`` reject, and such a document still reads.
+    """
+    years: list[int] = []
+    seen: set[int] = set()
+    columns: list[list[float]] = [[] for _ in positions]
+    for lineno, raw in enumerate(rows, start=2):
+        if len(raw) < len(header):
+            raise MissingCell(lineno, header[len(raw)])
+        if len(raw) > len(header):
+            raise MatrixError(f"row {lineno} has {len(raw)} cells, expected {len(header)}")
+        cell = raw[0].strip()
+        if cell == "":
+            raise MissingCell(lineno, "year")
+        try:
+            year = int(cell)
+        except ValueError:
+            raise NonNumericCell(lineno, "year", cell) from None
+        if distinct_years and year in seen:
+            raise DuplicateYear(year)
+        seen.add(year)
+        years.append(year)
+        for column, i in zip(columns, positions):
+            cell = raw[i].strip()
+            if cell == "":
+                raise MissingCell(lineno, header[i])
+            try:
+                v = float(cell)
+            except ValueError:
+                raise NonNumericCell(lineno, header[i], cell) from None
+            if not math.isfinite(v):
+                raise NonNumericCell(lineno, header[i], cell)
+            column.append(v)
+    return tuple(years), [tuple(col) for col in columns]
 
 
 def parse_matrix(text: str) -> TemporalMatrix:
@@ -240,55 +331,16 @@ def parse_matrix(text: str) -> TemporalMatrix:
     decimal point ``.``, one row per year. Row order is normalized to
     increasing year. Row numbers in errors count the header as row 1.
     """
-    header, rows = read_csv_rows(text)
-    if len(header) < 2 or header[0] != "year" or header[1] != "incidence":
-        raise MatrixError("header must start with 'year,incidence'")
-    factor_names = header[2:]
-    if not factor_names:
-        raise NoFactors()
-    if any(not name for name in factor_names):
-        raise MatrixError("factor names must be non-empty")
-
-    parsed: list[tuple[int, float, list[float]]] = []
-    for lineno, raw in enumerate(rows, start=2):
-        cells = [cell.strip() for cell in raw]
-        if len(cells) < len(header):
-            raise MissingCell(lineno, header[len(cells)])
-        if len(cells) > len(header):
-            raise MatrixError(f"row {lineno} has {len(cells)} cells, expected {len(header)}")
-        if cells[0] == "":
-            raise MissingCell(lineno, "year")
-        try:
-            year = int(cells[0])
-        except ValueError:
-            raise NonNumericCell(lineno, "year", cells[0]) from None
-        values: list[float] = []
-        for column, cell in zip(header[1:], cells[1:]):
-            if cell == "":
-                raise MissingCell(lineno, column)
-            try:
-                v = float(cell)
-            except ValueError:
-                raise NonNumericCell(lineno, column, cell) from None
-            if not math.isfinite(v):
-                raise NonNumericCell(lineno, column, cell)
-            values.append(v)
-        parsed.append((year, values[0], values[1:]))
-
-    if len(parsed) < MIN_PARSE_YEARS:
-        raise TooFewRows(len(parsed), MIN_PARSE_YEARS)
-
-    parsed.sort(key=lambda item: item[0])
-    for (a, _, _), (b, _, _) in zip(parsed, parsed[1:]):
-        if a == b:
-            raise DuplicateYear(a)
-
-    years = tuple(item[0] for item in parsed)
-    incidence = tuple(item[1] for item in parsed)
-    columns = {
-        name: tuple(item[2][j] for item in parsed) for j, name in enumerate(factor_names)
-    }
-    return TemporalMatrix(years, incidence, tuple(factor_names), columns)
+    names, years, columns = read_columns(text, ("year", "incidence"))
+    if len(years) < MIN_PARSE_YEARS:
+        raise TooFewRows(len(years), MIN_PARSE_YEARS)
+    if not all(map(operator.lt, years, years[1:])):
+        # After a stable sort the constructor reports the smallest repeated year.
+        order = sorted(range(len(years)), key=years.__getitem__)
+        years = tuple(years[i] for i in order)
+        columns = [tuple(col[i] for i in order) for col in columns]
+    incidence, *values = columns
+    return TemporalMatrix(years, incidence, names[1:], dict(zip(names[1:], values)))
 
 
 def label_critical(m: TemporalMatrix, threshold: CriticalThreshold) -> CriticalLabels:

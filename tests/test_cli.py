@@ -7,14 +7,20 @@ Regenerate the golden files after an intentional output change with::
 and review the diff before committing.
 """
 
+import contextlib
+import io
 import json
 import os
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from factorcast.cli import main
 
-from _support import GOLDEN, GOLDEN_CASES, run_cli_to_file, setup_cli_workdir
+from _support import FIXTURES, GOLDEN, GOLDEN_CASES, run_cli_to_file, setup_cli_workdir
 
 REGEN = os.environ.get("REGEN_GOLDEN") == "1"
 
@@ -247,3 +253,92 @@ class TestBadInput:
         with pytest.raises(SystemExit) as err:
             main(["fit", *we_args(workdir, "--threshold", "8", "--widen-eps", value)])
         assert err.value.code == 1
+
+    @pytest.mark.parametrize("grid", ["-1", "0,-2"])
+    def test_sweep_negative_lag_is_usage_error(self, workdir, capsys, grid):
+        with pytest.raises(SystemExit) as err:
+            main(["sweep", *we_args(workdir, "--threshold", "8", "--axis", "lag", "--grid", grid)])
+        assert err.value.code == 1
+        err = capsys.readouterr().err
+        assert f"factorcast: error: lags must be non-negative, got --grid '{grid}'\n" in err
+        assert "Traceback" not in err
+
+    # One cell over the csv module's default 131072-character field limit.
+    HUGE_CELL = "1" * 131073
+
+    def test_fit_oversized_cell_is_data_error(self, tmp_path, capsys):
+        rows = tmp_path / "rows.csv"
+        rows.write_text(f"year,incidence,f\n1990,1,{self.HUGE_CELL}\n", encoding="utf-8")
+        assert main(["fit", "--input", str(rows), "--threshold", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: malformed CSV at line 2: field larger than field limit")
+        assert err.count("\n") == 1
+
+    def test_classify_oversized_cell_is_data_error(self, workdir, tmp_path, capsys):
+        rows = tmp_path / "rows.csv"
+        rows.write_text(f"year,may_temp\n2031,{self.HUGE_CELL}\n", encoding="utf-8")
+        assert self.classify(workdir, rows) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: malformed CSV at line 2: field larger than field limit")
+        assert err.count("\n") == 1
+
+
+WORKED_EXAMPLE = (FIXTURES / "worked_example.csv").read_bytes()
+
+
+# Byte runs that CSV, number and JSON readers treat specially.
+SPECIAL_BYTES = [b"\r", b"\n", b",", b'"', b"\x00", b"\xff", b" ", b"-", b"nan", b"1e999", b"{"]
+
+
+@st.composite
+def mangled(draw, seed: bytes):
+    """Arbitrary bytes, or ``seed`` with a few byte runs replaced, inserted or cut."""
+    if draw(st.integers(0, 3)) == 0:
+        return draw(st.binary(max_size=200))
+    data = bytearray(seed)
+    for _ in range(draw(st.integers(1, 4))):
+        at = draw(st.integers(0, len(data)))
+        cut = draw(st.integers(0, 3))
+        data[at : at + cut] = draw(st.one_of(st.sampled_from(SPECIAL_BYTES), st.binary(max_size=4)))
+    return bytes(data)
+
+
+class TestFuzz:
+    """Arbitrary input and profile bytes end in exit 0, 1 or 2, never a traceback."""
+
+    def run(self, argv, files):
+        with tempfile.TemporaryDirectory() as tmp:
+            paths = {}
+            for name, data in files.items():
+                paths[name] = Path(tmp, name)
+                paths[name].write_bytes(data)
+            stderr = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+                try:
+                    code = main([arg.format(**paths) for arg in argv])
+                except SystemExit as exc:
+                    code = exc.code
+        assert code in (0, 1, 2)
+        assert "Traceback" not in stderr.getvalue()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fit", "--input", "{data}", "--threshold", "8"],
+            ["fit", "--input", "{data}", "--select-threshold", "--quorum", "0.5"],
+            ["backtest", "--input", "{data}", "--select-threshold", "--min-train-years", "3"],
+            ["classify", "--input", "{data}", "--profile", "{profile}"],
+        ],
+        ids=["fit", "fit-select", "backtest", "classify"],
+    )
+    @settings(max_examples=60, deadline=None)
+    @given(data=mangled(WORKED_EXAMPLE))
+    def test_input_bytes(self, argv, data):
+        profile = (GOLDEN / "profile.json").read_bytes()
+        self.run(argv, {"data": data, "profile": profile})
+
+    @settings(max_examples=60, deadline=None)
+    @given(profile=mangled((GOLDEN / "profile.json").read_bytes()))
+    def test_profile_bytes(self, profile):
+        argv = ["classify", "--input", "{data}", "--profile", "{profile}"]
+        self.run(argv, {"data": WORKED_EXAMPLE, "profile": profile})
