@@ -14,6 +14,8 @@ import csv
 import io
 import json
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import chain, starmap
 from typing import Mapping
 
 from .backtest import BacktestResult
@@ -245,25 +247,90 @@ def sweep_report_document(metadata: Mapping, report: SweepReport) -> ReportDocum
 def _render_text(doc: ReportDocument) -> str:
     lines = [f"factorcast {doc.kind} report"]
     lines.append("=" * len(lines[0]))
-    for key, value in doc.metadata.items():
-        lines.append(f"{key}: {_cell(value)}")
+    lines.extend(f"{key}: {_cell(value)}" for key, value in doc.metadata.items())
     for table in doc.tables:
+        widths = [max(map(len, column)) for column in zip(table.columns, *table.rows)]
+        row = "  ".join(f"{{:<{w}}}" for w in widths).format
         lines.append("")
         lines.append(table.title)
-        widths = [len(col) for col in table.columns]
-        for row in table.rows:
-            for i, cell in enumerate(row):
-                widths[i] = max(widths[i], len(cell))
-        lines.append("  ".join(col.ljust(w) for col, w in zip(table.columns, widths)).rstrip())
+        lines.append(row(*table.columns).rstrip())
         lines.append("  ".join("-" * w for w in widths))
-        for row in table.rows:
-            lines.append("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip())
+        lines.extend(map(str.rstrip, starmap(row, table.rows)))
     return "\n".join(lines) + "\n"
 
 
+_INDENT = "  "
+_CONTAINERS = (dict, list, tuple)
+
+
+@lru_cache(maxsize=None)
+def _c_encode(depth: int):
+    """The C encoder's ``encode``, breaking the line between items to ``depth`` indents.
+
+    ``ensure_ascii`` (the default) escapes every newline inside a string, so a
+    raw newline in its output is always one of these item separators.
+    """
+    return json.JSONEncoder(sort_keys=True, separators=(",\n" + _INDENT * depth, ": ")).encode
+
+
+def _holds_container(values) -> bool:
+    return any(issubclass(t, _CONTAINERS) for t in set(map(type, values)))
+
+
+def _flat_dict_rows(rows) -> bool:
+    """True for a list of non-empty dicts whose values are all scalars."""
+    return (
+        all(rows)
+        and all(issubclass(t, dict) for t in set(map(type, rows)))
+        and not _holds_container(chain.from_iterable(map(dict.values, rows)))
+    )
+
+
+def _json_at(value, depth: int) -> str:
+    """``value`` as indented JSON for a place ``depth`` indents deep."""
+    if not isinstance(value, _CONTAINERS):
+        return _c_encode(0)(value)
+    if not value:
+        return "{}" if isinstance(value, dict) else "[]"
+    is_dict = isinstance(value, dict)
+    pad = "\n" + _INDENT * (depth + 1)
+    end = "\n" + _INDENT * depth
+    if not _holds_container(value.values() if is_dict else value):
+        # One call; only the opening and closing brackets need their own lines.
+        text = _c_encode(depth + 1)(value)
+        return text[0] + pad + text[1:-1] + end + text[-1]
+    if not is_dict and _flat_dict_rows(value):
+        # One call for all rows; "}," + row_pad + "{" can only be a row join,
+        # since a string always ends in a quote.
+        row_pad = pad + _INDENT
+        body = _c_encode(depth + 2)(value)[2:-2]
+        body = body.replace("}," + row_pad + "{", pad + "}," + pad + "{" + row_pad)
+        return "[" + pad + "{" + row_pad + body + pad + "}" + end + "]"
+    if is_dict:
+        # The keys, encoded and sorted by the C encoder: '"key": 0' per line.
+        heads = _c_encode(0)(dict.fromkeys(value, 0))[1:-1].split(",\n")
+        parts = [
+            head[:-1] + _json_at(value[key], depth + 1)
+            for head, key in zip(heads, sorted(value))
+        ]
+        return "{" + pad + ("," + pad).join(parts) + end + "}"
+    parts = [_json_at(item, depth + 1) for item in value]
+    return "[" + pad + ("," + pad).join(parts) + end + "]"
+
+
+def json_text(value) -> str:
+    """``value`` as canonical JSON: the bytes of ``json.dumps(value, indent=2,
+    sort_keys=True, ensure_ascii=True)`` plus a trailing newline.
+
+    ``json.dumps`` with an indent always runs the pure-Python encoder. This
+    writer runs the C encoder once per container, or once per list of flat
+    dicts (such as the per-year rows), and splices the indentation in.
+    """
+    return _json_at(value, 0) + "\n"
+
+
 def _render_json(doc: ReportDocument) -> str:
-    body = {"report": doc.kind, "metadata": doc.metadata, "result": doc.payload}
-    return json.dumps(body, indent=2, sort_keys=True, ensure_ascii=True) + "\n"
+    return json_text({"report": doc.kind, "metadata": doc.metadata, "result": doc.payload})
 
 
 def _render_plot_csv(doc: ReportDocument) -> str:
@@ -297,7 +364,7 @@ def profile_to_json(profile: IntervalProfile, rule: QuorumRule) -> str:
         "quorum": rule.q,
         "profile": profile.to_dict(),
     }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return json_text(doc)
 
 
 def profile_from_json(text: str) -> tuple[IntervalProfile, QuorumRule]:

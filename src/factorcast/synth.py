@@ -35,6 +35,9 @@ AMBIENT_HI = 100.0
 # Outside draws keep this distance from the planted interval so membership
 # never hinges on float rounding.
 EDGE_GAP = 1.0
+# Most cells (years x (factors + 1)) one spec may ask for; the checks run
+# before anything of that size is allocated.
+MAX_CELLS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -48,6 +51,8 @@ class PlantSpec:
     signal at all. ``lag_shift`` moves each informative factor's signal
     ``lag_shift`` rows later than the year it describes, and years before
     ``regime_change_year`` draw informative factors with no signal either.
+    A spec may ask for at most ``MAX_CELLS`` cells, counted as
+    ``n_years * (n_factors + 1)`` (the incidence column included).
     """
 
     n_years: int = 30
@@ -73,6 +78,12 @@ class PlantSpec:
             raise InvalidSpec(f"n_years must be at least 5, got {self.n_years}")
         if self.n_factors < 1:
             raise InvalidSpec("n_factors must be at least 1")
+        if self.n_years * (self.n_factors + 1) > MAX_CELLS:
+            raise InvalidSpec(
+                f"{self.n_years} years x {self.n_factors} factors needs"
+                f" {self.n_years * (self.n_factors + 1)} cells, more than the"
+                f" limit of {MAX_CELLS}"
+            )
         if not (0.0 <= self.critical_fraction <= 1.0):
             raise InvalidSpec("critical_fraction must be in [0, 1]")
         if not (0.0 <= self.noise_prob <= 1.0):
@@ -121,22 +132,15 @@ class GroundTruth:
         return "\n".join(lines) + "\n"
 
 
-def _draw_inside(rng: random.Random, lo: float, hi: float) -> float:
-    return rng.uniform(lo, hi)
-
-
-def _draw_outside(rng: random.Random, lo: float, hi: float) -> float:
-    left = (lo - EDGE_GAP) - AMBIENT_LO
-    right = AMBIENT_HI - (hi + EDGE_GAP)
-    u = rng.uniform(0.0, left + right)
-    if u <= left:
-        return AMBIENT_LO + u
-    return (hi + EDGE_GAP) + (u - left)
-
-
 def generate(spec: PlantSpec) -> tuple[TemporalMatrix, GroundTruth]:
-    """Build the synthetic matrix and its ground truth from the spec."""
+    """Build the synthetic matrix and its ground truth from the spec.
+
+    Each ``rng.uniform(a, b)`` draw is written out as ``a + (b - a) * random()``,
+    the expression ``random.Random.uniform`` evaluates, with ``b - a`` computed
+    once per factor, so the values are the ones ``uniform`` would return.
+    """
     rng = random.Random(spec.seed)
+    random_ = rng.random
     n = spec.n_years
     names = spec.factor_names
     n_informative = spec.n_factors - spec.n_adversarial
@@ -155,35 +159,51 @@ def generate(spec: PlantSpec) -> tuple[TemporalMatrix, GroundTruth]:
     is_critical = tuple(i in critical_idx for i in range(n))
     years = tuple(spec.start_year + i for i in range(n))
 
-    def signal_is_critical(row: int) -> bool:
-        # Factor cells carry the signal of the year lag_shift rows later;
-        # rows whose signal year falls past the series behave non-critical.
-        signal_row = row + spec.lag_shift
-        return is_critical[signal_row] if signal_row < n else False
-
-    def signal_in_old_regime(row: int) -> bool:
-        if spec.regime_change_year is None:
-            return False
-        return spec.start_year + row + spec.lag_shift < spec.regime_change_year
+    columns: dict[str, list[float]] = {name: [] for name in names}
+    ambient = AMBIENT_HI - AMBIENT_LO
+    # Per informative factor: its column, the inside draw's lo and width, and
+    # the outside draw's left gap, total span and right-hand start.
+    informative = []
+    for name, (lo, hi) in zip(names[:n_informative], planted):
+        left = (lo - EDGE_GAP) - AMBIENT_LO
+        right = AMBIENT_HI - (hi + EDGE_GAP)
+        informative.append((columns[name], lo, hi - lo, left, left + right, hi + EDGE_GAP))
+    uninformative = [columns[name] for name in names[n_informative:]]
+    every_column = list(columns.values())
 
     thr = spec.incidence_threshold
+    critical_span = 2.0 * thr - thr
+    calm_span = 0.9 * thr - 0.0
+    noise = spec.noise_prob
+    lag = spec.lag_shift
+    # Rows whose signal year (lag_shift rows later) comes before the regime
+    # change draw every factor with no signal.
+    first_new_regime = (
+        0
+        if spec.regime_change_year is None
+        else max(0, spec.regime_change_year - spec.start_year - lag)
+    )
     incidence: list[float] = []
-    columns: dict[str, list[float]] = {name: [] for name in names}
     for i in range(n):
         if is_critical[i]:
-            incidence.append(rng.uniform(thr, 2.0 * thr))
+            incidence.append(thr + critical_span * random_())
         else:
-            incidence.append(rng.uniform(0.0, 0.9 * thr))
-        for j, name in enumerate(names):
-            lo, hi = planted[j]
-            if j >= n_informative or signal_in_old_regime(i):
-                columns[name].append(rng.uniform(AMBIENT_LO, AMBIENT_HI))
-                continue
-            inside = signal_is_critical(i)
-            if rng.random() < spec.noise_prob:
-                inside = not inside
-            value = _draw_inside(rng, lo, hi) if inside else _draw_outside(rng, lo, hi)
-            columns[name].append(value)
+            incidence.append(0.0 + calm_span * random_())
+        if i < first_new_regime:
+            for column in every_column:
+                column.append(AMBIENT_LO + ambient * random_())
+            continue
+        # Factor cells carry the signal of the year lag_shift rows later;
+        # rows whose signal year falls past the series behave non-critical.
+        signal = i + lag < n and is_critical[i + lag]
+        for column, lo, width, left, span, right_start in informative:
+            if (random_() < noise) != signal:
+                column.append(lo + width * random_())
+            else:
+                u = 0.0 + span * random_()
+                column.append(AMBIENT_LO + u if u <= left else right_start + (u - left))
+        for column in uninformative:
+            column.append(AMBIENT_LO + ambient * random_())
 
     matrix = TemporalMatrix(years, tuple(incidence), names, columns)
     truth_intervals = tuple(

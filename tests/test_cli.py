@@ -282,6 +282,24 @@ class TestBadInput:
         assert err.startswith("error: malformed CSV at line 2: field larger than field limit")
         assert err.count("\n") == 1
 
+    # Each size is rejected from the spec's arithmetic, before any allocation.
+    @pytest.mark.parametrize(
+        "sizes",
+        [
+            ["--years", "100000000000000000000"],
+            ["--years", "1000000"],
+            ["--factors", "100000000000000000000"],
+            ["--years", "1000", "--factors", "1000"],
+        ],
+    )
+    def test_synth_over_cell_limit_is_data_error(self, tmp_path, capsys, sizes):
+        output = tmp_path / "x.csv"
+        assert main(["synth", "--output", str(output), *sizes]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "more than the limit of 1000000" in err
+        assert err.count("\n") == 1
+        assert not output.exists()
+
 
 WORKED_EXAMPLE = (FIXTURES / "worked_example.csv").read_bytes()
 

@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from factorcast import (
     CriticalThreshold,
@@ -16,8 +18,9 @@ from factorcast import (
     oracle_evaluate,
 )
 from factorcast.errors import InvalidSpec, NoCriticalYears
-from factorcast.synth import AMBIENT_HI, AMBIENT_LO
+from factorcast.synth import AMBIENT_HI, AMBIENT_LO, MAX_CELLS
 
+import _reference_synth as ref
 from _support import random_instance
 
 
@@ -92,6 +95,72 @@ class TestGenerate:
         assert (truth.intervals[1].lo, truth.intervals[1].hi) == (40.0, 60.0)
 
 
+@st.composite
+def plant_specs(draw):
+    """Specs across every generator branch, edge values of each knob included."""
+    n_years = draw(st.integers(5, 40))
+    n_factors = draw(st.integers(1, 6))
+    intervals = None
+    if draw(st.booleans()):
+        intervals = []
+        for _ in range(n_factors):
+            lo = draw(st.sampled_from((1.0, 10.0, 33.3, 50.0)))
+            hi = draw(st.sampled_from((lo, lo + 0.1, lo + 12.5, 99.0)))
+            intervals.append((lo, hi))
+    regime = draw(st.one_of(st.none(), st.integers(1980, 2040)))
+    return PlantSpec(
+        n_years=n_years,
+        n_factors=n_factors,
+        seed=draw(st.integers(0, 2**64)),
+        critical_fraction=draw(st.sampled_from((0.0, 0.1, 0.3, 0.5, 1.0))),
+        noise_prob=draw(st.sampled_from((0.0, 0.1, 0.5, 1.0))),
+        lag_shift=draw(st.integers(0, n_years - 1)),
+        regime_change_year=regime,
+        n_adversarial=draw(st.sampled_from((0, n_factors // 2, n_factors))),
+        intervals=None if intervals is None else tuple(intervals),
+        incidence_threshold=draw(st.sampled_from((10.0, 0.3, 7.77))),
+        start_year=draw(st.sampled_from((1990, 1, 2000))),
+    )
+
+
+class TestAgainstReference:
+    """The hoisted generator returns exactly what the per-draw reference does."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(plant_specs())
+    def test_same_matrix_and_truth(self, spec):
+        assert generate(spec) == ref.generate(spec)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_cli_sized_specs(self, seed):
+        spec = PlantSpec(
+            n_years=600, n_factors=16, seed=seed, noise_prob=0.1, n_adversarial=2
+        )
+        m, truth = generate(spec)
+        expected_m, expected_truth = ref.generate(spec)
+        assert m.to_csv() == expected_m.to_csv()
+        assert truth == expected_truth
+
+    @pytest.mark.parametrize(
+        "changes",
+        [
+            {"lag_shift": 3},
+            {"regime_change_year": 2000},
+            {"regime_change_year": 2000, "lag_shift": 4},
+            {"intervals": ((10.0, 20.0), (1.0, 99.0), (50.0, 50.0))},
+            {"noise_prob": 0.0},
+            {"noise_prob": 1.0},
+            {"n_adversarial": 0},
+            {"n_adversarial": 3},
+            {"critical_fraction": 0.0},
+            {"critical_fraction": 1.0},
+        ],
+    )
+    def test_each_knob(self, changes):
+        spec = PlantSpec(**{"n_years": 30, "n_factors": 3, "seed": 9, **changes})
+        assert generate(spec) == ref.generate(spec)
+
+
 class TestSpecValidation:
     def test_bad_values(self):
         with pytest.raises(InvalidSpec):
@@ -106,6 +175,16 @@ class TestSpecValidation:
             PlantSpec(n_adversarial=9)
         with pytest.raises(InvalidSpec):
             PlantSpec(incidence_threshold=0.0)
+
+    def test_cell_limit(self):
+        PlantSpec(n_years=MAX_CELLS // 9, n_factors=8)
+        with pytest.raises(InvalidSpec, match="cells"):
+            PlantSpec(n_years=MAX_CELLS // 9 + 1, n_factors=8)
+        # Rejected by arithmetic on the sizes, before anything is allocated.
+        with pytest.raises(InvalidSpec, match="cells"):
+            PlantSpec(n_years=10**20)
+        with pytest.raises(InvalidSpec, match="cells"):
+            PlantSpec(n_factors=10**20)
 
     def test_bad_intervals(self):
         with pytest.raises(InvalidSpec):
