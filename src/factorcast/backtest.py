@@ -86,17 +86,17 @@ def select_threshold(m: TemporalMatrix, min_critical: int = 2) -> CriticalThresh
 
     Candidate thresholds are the observed incidence values themselves, since
     labelings only change there. The most extreme qualifying line is chosen;
-    an expert-given line can always be used instead.
+    an expert-given line can always be used instead. That line is the
+    ``min_critical``-th largest value: at least ``min_critical`` values lie at
+    or above it, and fewer than that at or above any larger value.
     """
     if min_critical < 2:
         raise ValueError("min_critical must be at least 2")
     if m.n_years < min_critical:
         raise InsufficientYears(m.n_years, min_critical)
-    for candidate in sorted(set(m.incidence), reverse=True):
-        n_critical = sum(1 for v in m.incidence if v >= candidate)
-        if n_critical >= min_critical:
-            return CriticalThreshold(candidate, "selected")
-    raise AssertionError("minimum incidence always qualifies")  # pragma: no cover
+    value = sorted(m.incidence, reverse=True)[min_critical - 1]
+    # Report the first equal value in series order: 0.0 and -0.0 are equal but print apart.
+    return CriticalThreshold(m.incidence[m.incidence.index(value)], "selected")
 
 
 def evaluation_masks(

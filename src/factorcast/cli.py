@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 usage error, 2 data or validation error.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import math
 import os
@@ -132,7 +133,14 @@ def _add_common_flags(sub: argparse.ArgumentParser, min_critical_floor: int) -> 
     sub.add_argument("--output", help="write the report here instead of stdout")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process; :func:`main` reuses it on every call.
+
+    Parsing stores nothing on the parser, and argparse reads the terminal
+    width (``COLUMNS``) each time it formats help or usage, so reuse is safe.
+    Callers must not add arguments to it.
+    """
     parser = _Parser(
         prog="factorcast",
         description="Interval-envelope recognition and forecasting of critical years",

@@ -20,6 +20,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
+from itertools import compress
 from typing import Mapping, Sequence
 
 from .errors import (
@@ -191,6 +192,17 @@ def _row_mask(row: Sequence[float], lo: Sequence[float], hi: Sequence[float]) ->
     return mask
 
 
+def _column_masks(
+    columns: Sequence[Sequence[float]], n_rows: int, lo: Sequence[float], hi: Sequence[float]
+) -> list[int]:
+    """Masks of ``n_rows`` rows against fixed envelopes, one pass per factor column."""
+    masks = [0] * n_rows
+    for j, (col, a, b) in enumerate(zip(columns, lo, hi)):
+        bit = 1 << j
+        masks = [m | bit if a <= v <= b else m for m, v in zip(masks, col)]
+    return masks
+
+
 def membership_masks(
     columns: Sequence[Sequence[float]],
     critical: Sequence[bool] = (),
@@ -214,18 +226,20 @@ def membership_masks(
     - in_sample: all of them; None for every row when there is none.
 
     A ``profile`` fixes the envelopes to its intervals instead, whatever the
-    mode. Every mode costs O(n·F) for n rows and F factors.
+    mode. Every mode costs O(n·F) for n rows and F factors. Fixed envelopes
+    (a profile, in_sample, and the leave-one-out rows that are not held out)
+    are scored a column at a time; rolling and held-out rows row by row.
     """
-    rows = list(zip(*columns))
+    n_rows = len(columns[0]) if columns else 0
     if profile is not None:
         lo = [iv.lo - iv.widen_eps for iv in profile.intervals]
         hi = [iv.hi + iv.widen_eps for iv in profile.intervals]
-        return [_row_mask(row, lo, hi) for row in rows]
+        return _column_masks(columns, n_rows, lo, hi)
     eps = float(widen_eps)
     if mode == "rolling":
         lo, hi = [math.inf] * len(columns), [-math.inf] * len(columns)
         seen, masks = 0, []
-        for t, row in enumerate(rows):
+        for t, row in enumerate(zip(*columns)):
             if t >= start:
                 masks.append(_row_mask(row, lo, hi) if seen >= min_critical else None)
             if critical[t]:
@@ -235,23 +249,24 @@ def membership_masks(
         return masks
     if mode not in ("leave_one_out", "in_sample"):
         raise ValueError(f"unknown evaluation mode {mode!r}")
-    train = list(zip(*(row for row, c in zip(rows, critical) if c)))
-    if not train:
-        return [None] * len(rows)
+    train = [list(compress(col, critical)) for col in columns]
+    if not train or not train[0]:
+        return [None] * n_rows
     lows = [heapq.nsmallest(2, values) for values in train]
     highs = [heapq.nlargest(2, values) for values in train]
     lo = [s[0] - eps for s in lows]
     hi = [s[0] + eps for s in highs]
-    masks = [_row_mask(row, lo, hi) for row in rows]
+    masks = _column_masks(columns, n_rows, lo, hi)
     if mode == "leave_one_out":
-        for i, row in enumerate(rows):
-            if critical[i] and len(train[0]) == 1:
+        for i in compress(range(n_rows), critical):
+            if len(train[0]) == 1:
                 masks[i] = None
-            elif critical[i]:
-                # Holding out a row on an envelope edge moves that edge to the runner-up.
-                held_lo = [(s[1] if v == s[0] else s[0]) - eps for s, v in zip(lows, row)]
-                held_hi = [(s[1] if v == s[0] else s[0]) + eps for s, v in zip(highs, row)]
-                masks[i] = _row_mask(row, held_lo, held_hi)
+                continue
+            # Holding out a row on an envelope edge moves that edge to the runner-up.
+            row = [col[i] for col in columns]
+            held_lo = [(s[1] if v == s[0] else s[0]) - eps for s, v in zip(lows, row)]
+            held_hi = [(s[1] if v == s[0] else s[0]) + eps for s, v in zip(highs, row)]
+            masks[i] = _row_mask(row, held_lo, held_hi)
     return masks
 
 

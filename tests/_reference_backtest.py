@@ -1,9 +1,10 @@
-"""Test-only slow reference for the backtest modes.
+"""Test-only slow references for the backtest modes and threshold selection.
 
-This is the per-origin replay that the membership kernel replaced, kept
-verbatim so that tests can compare the kernel with it: the rolling mode
-builds a prefix matrix at every origin, relabels it and rebuilds every
-envelope; leave-one-out relabels and rebuilds the profile once per held-out
+``select_threshold`` is the scan over every distinct candidate that one sort
+replaced. ``reference_backtest`` is the per-origin replay that the membership
+kernel replaced, kept verbatim so that tests can compare the kernel with it:
+the rolling mode builds a prefix matrix at every origin, relabels it and
+rebuilds every envelope; leave-one-out relabels and rebuilds the profile once per held-out
 critical year. Membership is counted with the plain interval loop below, not
 with the kernel, and rows are read as dicts by ``row_factors``, so the two
 paths share nothing past ``build_profile``.
@@ -15,14 +16,33 @@ from dataclasses import replace
 from typing import Mapping, Sequence
 
 from factorcast.backtest import BacktestConfig, BacktestResult, Verdict
-from factorcast.errors import MissingFactorValue
+from factorcast.errors import InsufficientYears, MissingFactorValue
 from factorcast.matrix import (
     CriticalLabels,
+    CriticalThreshold,
     FactorSelection,
     TemporalMatrix,
     label_critical,
 )
 from factorcast.recognizer import IntervalProfile, QuorumRule, build_profile, precision
+
+
+def select_threshold(m: TemporalMatrix, min_critical: int = 2) -> CriticalThreshold:
+    """Largest observed incidence value that still yields >= min_critical criticals.
+
+    Candidate thresholds are the observed incidence values themselves, since
+    labelings only change there. The most extreme qualifying line is chosen;
+    an expert-given line can always be used instead.
+    """
+    if min_critical < 2:
+        raise ValueError("min_critical must be at least 2")
+    if m.n_years < min_critical:
+        raise InsufficientYears(m.n_years, min_critical)
+    for candidate in sorted(set(m.incidence), reverse=True):
+        n_critical = sum(1 for v in m.incidence if v >= candidate)
+        if n_critical >= min_critical:
+            return CriticalThreshold(candidate, "selected")
+    raise AssertionError("minimum incidence always qualifies")  # pragma: no cover
 
 
 def row_factors(m: TemporalMatrix, index: int, names: Sequence[str]) -> dict[str, float]:

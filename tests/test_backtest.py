@@ -4,6 +4,8 @@ import random
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from factorcast import (
     BacktestConfig,
@@ -22,6 +24,7 @@ from factorcast import (
 from factorcast.errors import InsufficientYears, LabelMismatch
 
 from _reference_backtest import forecast_next
+from _reference_backtest import select_threshold as reference_select_threshold
 from _support import random_instance
 
 
@@ -69,6 +72,28 @@ class TestSelectThreshold:
             for candidate in larger:
                 n = sum(1 for v in m.incidence if v >= candidate)
                 assert n < min_critical
+
+    # Few distinct values, so most candidates tie; 0.0 and -0.0 compare equal
+    # but print differently, so the reported line must be the same one.
+    TIE_VALUES = (0.0, -0.0, 1.0, 2.0, 2.0, 2.5, 7.0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_one_sort_matches_candidate_scan(self, data):
+        incidence = data.draw(st.lists(st.sampled_from(self.TIE_VALUES), min_size=1, max_size=20))
+        m = make_matrix(tuple(incidence), f=tuple(0.0 for _ in incidence))
+        min_critical = data.draw(st.integers(0, m.n_years + 1))
+        outcomes = []
+        for select in (select_threshold, reference_select_threshold):
+            try:
+                threshold = select(m, min_critical)
+            except (ValueError, InsufficientYears) as exc:
+                outcomes.append(type(exc))
+            else:
+                outcomes.append((repr(threshold.value), threshold.source))
+        assert outcomes[0] == outcomes[1]
+        if 2 <= min_critical <= m.n_years:
+            assert isinstance(outcomes[0], tuple)
 
 
 class TestForecastNext:

@@ -11,6 +11,8 @@ import contextlib
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -18,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from factorcast.cli import main
+from factorcast.cli import build_parser, main
 
 from _support import FIXTURES, GOLDEN, GOLDEN_CASES, run_cli_to_file, setup_cli_workdir
 
@@ -152,6 +154,64 @@ class TestBehavior:
         body = json.loads(capsys.readouterr().out)
         assert body["metadata"]["lag"] == 1
         assert len(body["result"]["per_year"]) == 5
+
+
+class TestParserReuse:
+    """``main`` reuses one parser per process; no call may leak into the next."""
+
+    def test_one_parser_per_process(self):
+        assert build_parser() is build_parser()
+
+    def test_fit_usage_error_classify_in_one_process(self, workdir, capsys):
+        cases = dict(GOLDEN_CASES)
+        fit = run_cli_to_file(cases["fit.txt"](workdir), workdir / "fit.txt")
+        assert fit == (GOLDEN / "fit.txt").read_bytes()
+        with pytest.raises(SystemExit) as err:
+            main(["fit", *we_args(workdir, "--threshold", "8", "--quorum", "2.0")])
+        assert err.value.code == 1
+        assert capsys.readouterr().err.startswith("usage: factorcast fit ")
+        classify = run_cli_to_file(cases["classify.txt"](workdir), workdir / "classify.txt")
+        assert classify == (GOLDEN / "classify.txt").read_bytes()
+
+    def test_flags_do_not_carry_over(self, workdir):
+        parser = build_parser()
+        first = parser.parse_args(
+            ["fit", *we_args(workdir, "--threshold", "8", "--factors", "may_temp", "--lag", "1")]
+        )
+        assert (first.factors, first.lag) == ("may_temp", 1)
+        second = parser.parse_args(["fit", *we_args(workdir, "--threshold", "8")])
+        assert (second.factors, second.lag) == (None, 0)
+        third = parser.parse_args(["classify", *we_args(workdir, "--profile", "p.json")])
+        assert not hasattr(third, "factors") and not hasattr(third, "lag")
+
+    def test_help_width_follows_columns_on_every_call(self, monkeypatch, capsys):
+        widths = {}
+        for columns in ("40", "200", "40"):
+            monkeypatch.setenv("COLUMNS", columns)
+            with pytest.raises(SystemExit) as err:
+                main(["fit", "--help"])
+            assert err.value.code == 0
+            widths.setdefault(columns, set()).add(
+                max(map(len, capsys.readouterr().out.splitlines()))
+            )
+        assert len(widths["40"]) == 1 and len(widths["200"]) == 1
+        assert max(widths["40"]) < 80 < max(widths["200"]) <= 200
+
+    def test_python_dash_m_matches_golden(self):
+        # A fresh process builds the parser for the first time.
+        paths = (str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH"))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+        argv = [
+            "fit",
+            "--input", str(FIXTURES / "worked_example.csv"),
+            "--threshold", "8",
+            "--quorum", "1.0",
+            "--format", "text",
+        ]
+        done = subprocess.run(
+            [sys.executable, "-m", "factorcast", *argv], capture_output=True, env=env, check=True
+        )
+        assert done.stdout == (GOLDEN / "fit.txt").read_bytes()
 
 
 class TestExitCodes:

@@ -28,7 +28,7 @@ from factorcast import (
     threshold_sensitivity,
 )
 from factorcast.backtest import EVAL_MODES
-from factorcast.recognizer import membership_masks
+from factorcast.recognizer import FactorInterval, IntervalProfile, membership_masks
 from factorcast.sweeps import SweepSpec
 
 from _reference_backtest import reference_backtest
@@ -192,6 +192,53 @@ def test_data_changing_sweeps_match_reference(data):
         assert row_counts(row) == counts(
             reference_backtest(window, window_labels, selection, cfg)
         )
+
+
+@st.composite
+def profiles_and_columns(draw, n_min=0, n_max=12, f_max=16):
+    """A profile of up to ``f_max`` intervals with grid edges, and grid-valued columns."""
+    f = draw(st.integers(1, f_max))
+    intervals = []
+    for j in range(f):
+        lo, hi = sorted(draw(st.lists(st.sampled_from(VALUE_GRID), min_size=2, max_size=2)))
+        intervals.append(FactorInterval(f"g{j}", lo, hi, draw(st.sampled_from(EPS_CHOICES))))
+    n = draw(st.integers(n_min, n_max))
+    columns = [
+        tuple(draw(st.lists(st.sampled_from(VALUE_GRID), min_size=n, max_size=n)))
+        for _ in range(f)
+    ]
+    return IntervalProfile(tuple(intervals), 1), columns
+
+
+def per_cell_masks(profile, columns):
+    """The profile path spelled out: one ``contains`` test per (row, factor) cell."""
+    n = len(columns[0])
+    masks = []
+    for i in range(n):
+        mask = 0
+        for j, interval in enumerate(profile.intervals):
+            if interval.contains(columns[j][i]):
+                mask += 2**j
+        masks.append(mask)
+    return masks
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=profiles_and_columns())
+def test_profile_masks_match_per_cell_contains(case):
+    profile, columns = case
+    assert membership_masks(columns, profile=profile) == per_cell_masks(profile, columns)
+
+
+@pytest.mark.parametrize("n", (0, 1, 5))
+def test_profile_masks_with_sixteen_factors(n):
+    # Every envelope is [0, 1] widened by 0.5, so -0.5 and 1.5 sit on its edges.
+    profile = IntervalProfile(tuple(FactorInterval(f"g{j}", 0.0, 1.0, 0.5) for j in range(16)), 1)
+    values = (-0.5, 1.5, 2.0, -1.0, 0.5)[:n]
+    columns = [values] * 15 + [tuple(reversed(values))]
+    masks = membership_masks(columns, profile=profile)
+    assert masks == per_cell_masks(profile, columns)
+    assert len(masks) == n
 
 
 def test_kernel_bits_name_the_factors_inside():
