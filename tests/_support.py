@@ -153,6 +153,19 @@ GOLDEN_CASES = [
         ],
     ),
     (
+        "backtest_no_forecast.txt",
+        lambda d: [
+            "backtest",
+            *_we(
+                d,
+                "--threshold", "9.5",
+                "--quorum", "1.0",
+                "--min-train-years", "3",
+                "--format", "text",
+            ),
+        ],
+    ),
+    (
         "sweep_quorum.txt",
         lambda d: [
             "sweep",
@@ -183,6 +196,34 @@ GOLDEN_CASES = [
         lambda d: [
             "sweep",
             *_we(d, "--axis", "threshold", "--grid", "8,9,99", "--format", "text"),
+        ],
+    ),
+    (
+        "sweep_threshold_skipped.txt",
+        lambda d: [
+            "sweep",
+            *_we(
+                d,
+                "--axis", "threshold",
+                "--grid", "8,11",
+                "--quorum", "1.0",
+                "--mode", "in_sample",
+                "--format", "text",
+            ),
+        ],
+    ),
+    (
+        "sweep_threshold_skipped.json",
+        lambda d: [
+            "sweep",
+            *_we(
+                d,
+                "--axis", "threshold",
+                "--grid", "8,11",
+                "--quorum", "1.0",
+                "--mode", "in_sample",
+                "--format", "json",
+            ),
         ],
     ),
     (

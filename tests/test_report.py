@@ -22,7 +22,7 @@ from factorcast import (
 )
 from factorcast.errors import ProfileError
 from factorcast.report import backtest_report, fit_report
-from factorcast.sweeps import SweepSpec
+from factorcast.sweeps import SweepReport, SweepRow, SweepSpec
 
 
 def fixture():
@@ -128,6 +128,21 @@ class TestSkippedRows:
         lines = emit_report(doc, "plot_csv").splitlines()
         assert len(lines) == 3
         assert lines[2] == "99.0,"
+
+
+class TestUndefinedCells:
+    @pytest.mark.parametrize("configuration", ["skipped", "no_forecast"])
+    def test_ok_row_with_undefined_p_renders_undefined(self, configuration):
+        # The cell rule reads values, not text: a subset named like a status
+        # still gets "undefined" for a p beside integer counts.
+        rows = (
+            SweepRow(configuration, "ok", 0, 0, None, 2),
+            SweepRow("a+b", "skipped", None, None, None, None, "nothing applies"),
+        )
+        doc = sweep_report_document(META, SweepReport("factor_subset", rows))
+        lines = emit_report(doc, "text").splitlines()
+        assert lines[-2].split() == [configuration, "ok", "0", "0", "undefined", "2"]
+        assert lines[-1].split() == ["a+b", "skipped", "-", "-", "-", "-", "nothing", "applies"]
 
 
 class TestProfilePersistence:
