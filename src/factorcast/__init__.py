@@ -24,7 +24,6 @@ from .matrix import (
     apply_uniform_lag,
     label_critical,
     parse_matrix,
-    select_factors,
 )
 from .recognizer import (
     FactorInterval,
@@ -95,7 +94,6 @@ __all__ = [
     "rolling_backtest",
     "row_length_sweep",
     "run_sweep",
-    "select_factors",
     "select_threshold",
     "subset_sweep",
     "sweep_report_document",

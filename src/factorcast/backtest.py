@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Literal, Sequence
+from typing import Literal, NamedTuple, Sequence
 
 from .errors import InsufficientYears
 from .matrix import (
@@ -52,12 +52,12 @@ class BacktestConfig:
             raise ValueError("widen_eps must be finite and non-negative")
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     """One per-year forecast: critical, non_critical, or no_forecast.
 
     ``no_forecast`` means the training prerequisites were unmet for that
-    origin. ``truth`` is absent for genuinely future years.
+    origin. ``truth`` is absent for genuinely future years. The fields are
+    the keys of a verdict in a JSON report.
     """
 
     year: int

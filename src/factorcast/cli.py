@@ -231,19 +231,34 @@ def _read_input(path: str, parse=None) -> tuple[str, object]:
     return hashlib.sha256(raw).hexdigest(), parse_matrix(text) if parse is None else parse(text)
 
 
-def _selection(args, m: TemporalMatrix) -> FactorSelection:
+def _read_selected(args) -> tuple[str, TemporalMatrix, FactorSelection]:
+    """``--input``'s digest and matrix, with ``--lag`` applied to the ``--factors`` selection."""
+    digest, m = _read_input(args.input)
     if args.factors:
-        names = tuple(name.strip() for name in args.factors.split(","))
-        selection = FactorSelection(names)
+        selection = FactorSelection(tuple(name.strip() for name in args.factors.split(",")))
         selection.validate_against(m)
-        return selection
-    return FactorSelection.all_of(m)
+    else:
+        selection = FactorSelection.all_of(m)
+    if args.lag:
+        m = apply_uniform_lag(m, selection.names, args.lag)
+    return digest, m, selection
 
 
 def _resolve_threshold(args, m: TemporalMatrix) -> CriticalThreshold:
     if args.select_threshold:
         return select_threshold(m, args.min_critical)
     return CriticalThreshold(args.threshold, "expert")
+
+
+def _backtest_config(args, threshold: CriticalThreshold) -> BacktestConfig:
+    return BacktestConfig(
+        rule=QuorumRule(args.quorum),
+        threshold=threshold,
+        min_train_years=args.min_train_years,
+        min_train_critical=args.min_critical,
+        eval_mode=args.mode,
+        widen_eps=args.widen_eps,
+    )
 
 
 def _base_metadata(args, command: str, digest: str) -> dict:
@@ -264,10 +279,7 @@ def _write_output(text: str, path: str | None) -> None:
 
 
 def cmd_fit(args) -> int:
-    digest, m = _read_input(args.input)
-    selection = _selection(args, m)
-    if args.lag:
-        m = apply_uniform_lag(m, selection.names, args.lag)
+    digest, m, selection = _read_selected(args)
     threshold = _resolve_threshold(args, m)
     labels = label_critical(m, threshold)
     if labels.n_critical < args.min_critical:
@@ -320,28 +332,17 @@ def cmd_classify(args) -> int:
 
 
 def cmd_backtest(args) -> int:
-    digest, m = _read_input(args.input)
-    selection = _selection(args, m)
-    if args.lag:
-        m = apply_uniform_lag(m, selection.names, args.lag)
+    digest, m, selection = _read_selected(args)
     threshold = _resolve_threshold(args, m)
     labels = label_critical(m, threshold)
-    rule = QuorumRule(args.quorum)
-    cfg = BacktestConfig(
-        rule=rule,
-        threshold=threshold,
-        min_train_years=args.min_train_years,
-        min_train_critical=args.min_critical,
-        eval_mode=args.mode,
-        widen_eps=args.widen_eps,
-    )
+    cfg = _backtest_config(args, threshold)
     result = rolling_backtest(m, labels, selection, cfg)
 
     metadata = _base_metadata(args, "backtest", digest)
     metadata.update(
         threshold=threshold.value,
         threshold_source=threshold.source,
-        quorum=rule.q,
+        quorum=cfg.rule.q,
         factors=",".join(selection.names),
         lag=args.lag,
         mode=args.mode,
@@ -349,7 +350,7 @@ def cmd_backtest(args) -> int:
         min_critical=args.min_critical,
         widen_eps=args.widen_eps,
     )
-    doc = backtest_report(metadata, result, rule)
+    doc = backtest_report(metadata, result, cfg.rule)
     _write_output(emit_report(doc, args.format), args.output)
     return 0
 
@@ -374,13 +375,8 @@ def _parse_grid(args, parser_error) -> tuple | None:
 
 
 def cmd_sweep(args) -> int:
-    digest, m = _read_input(args.input)
-    selection = _selection(args, m)
-    if args.lag:
-        m = apply_uniform_lag(m, selection.names, args.lag)
+    digest, m, selection = _read_selected(args)
     grid = args.grid_values
-    rule = QuorumRule(args.quorum)
-
     if args.axis == "threshold":
         # The axis varies the threshold itself; the config echoes grid[0].
         threshold = CriticalThreshold(float(grid[0]), "selected")
@@ -389,14 +385,7 @@ def cmd_sweep(args) -> int:
         threshold = _resolve_threshold(args, m)
         labels = label_critical(m, threshold)
 
-    cfg = BacktestConfig(
-        rule=rule,
-        threshold=threshold,
-        min_train_years=args.min_train_years,
-        min_train_critical=args.min_critical,
-        eval_mode=args.mode,
-        widen_eps=args.widen_eps,
-    )
+    cfg = _backtest_config(args, threshold)
     spec = SweepSpec(axis=args.axis, selection=selection, config=cfg, grid=grid)
     report = run_sweep(m, labels, spec)
 
@@ -404,7 +393,7 @@ def cmd_sweep(args) -> int:
     metadata.update(
         axis=args.axis,
         grid=args.grid,
-        quorum=rule.q,
+        quorum=cfg.rule.q,
         factors=",".join(selection.names),
         lag=args.lag,
         mode=args.mode,

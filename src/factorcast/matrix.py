@@ -353,17 +353,6 @@ def label_critical(m: TemporalMatrix, threshold: CriticalThreshold) -> CriticalL
     return CriticalLabels(m.years, flags, threshold)
 
 
-def select_factors(m: TemporalMatrix, selection: FactorSelection) -> TemporalMatrix:
-    """Project the matrix onto the selected factor columns."""
-    selection.validate_against(m)
-    return TemporalMatrix(
-        years=m.years,
-        incidence=m.incidence,
-        factor_names=selection.names,
-        columns={name: m.columns[name] for name in selection.names},
-    )
-
-
 def apply_uniform_lag(m: TemporalMatrix, factors: Iterable[str], lag: int) -> TemporalMatrix:
     """Pair incidence of year t with the named factors' values from year t - lag.
 

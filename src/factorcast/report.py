@@ -1,11 +1,15 @@
 """Deterministic report documents and their text / json / plot_csv renderings.
 
-A report document carries the structured result plus run metadata (input
-digest, configuration echo, tool version) already projected into three
-byte-stable forms: aligned text tables, a canonical JSON body, and a
-two-column (configuration, p) CSV for external plotting. Undefined precision
-renders as ``undefined`` in text, ``null`` in JSON, and an empty cell in
-plot_csv. Rendering the same document twice yields identical bytes.
+A report document carries run metadata (input digest, configuration echo,
+tool version) and its result as tables: one column spec plus rows of raw
+values, which are the result tuples themselves where the result has them.
+Every output is derived from those rows only when it is rendered: aligned
+text tables, a canonical JSON body, and a two-column (configuration, p) CSV
+for external plotting. A JSON row is the object of its column keys; the text
+headers are the same keys. In text a ``None`` cell renders ``-`` (nothing
+applies), except a ``p`` beside integer counts: undefined precision renders
+``undefined`` in text, ``null`` in JSON, and an empty cell in plot_csv.
+Rendering the same document twice yields identical bytes.
 """
 
 from __future__ import annotations
@@ -16,42 +20,53 @@ import json
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, starmap
-from typing import Mapping
+from typing import Mapping, Sequence
 
-from .backtest import BacktestResult
+from .backtest import BacktestResult, Verdict
 from .errors import ProfileError
 from .matrix import CriticalLabels, TemporalMatrix, format_number
 from .recognizer import IntervalProfile, QuorumRule, RecognitionResult
-from .sweeps import SweepReport
+from .sweeps import SweepReport, SweepRow
 
 PROFILE_FORMAT = "factorcast-profile"
 PROFILE_VERSION = 1
 
+# Text headers that differ from their JSON key.
+_TEXT_HEADERS = {"n_no_forecast": "no_forecast"}
+# Text of a cell by the value's type; any other type renders as ``str``.
+_FORMATS = {type(None): lambda v: "-", bool: ("no", "yes").__getitem__, float: format_number}
+
 
 def _cell(v) -> str:
-    if v is None:
-        return "undefined"
-    if isinstance(v, bool):
-        return "yes" if v else "no"
-    if isinstance(v, float):
-        return format_number(v)
-    return str(v)
+    return _FORMATS.get(type(v), str)(v)
 
 
 @dataclass(frozen=True)
 class ReportTable:
+    """Rows of raw values; ``columns`` are the JSON keys of a row."""
+
     title: str
     columns: tuple[str, ...]
-    rows: tuple[tuple[str, ...], ...]
+    rows: Sequence[tuple]
 
 
 @dataclass(frozen=True)
 class ReportDocument:
+    """One report: metadata, its tables, and the result fields only JSON shows.
+
+    Text renders ``tables`` in order, then ``summary``. The JSON result is
+    ``result``, with every table in it written as a list of row objects, plus
+    the fields of the one-row ``summary``. plot_csv writes the ``p`` of every
+    row that has one, labelled by ``plot_label`` or, without one, by the
+    row's ``configuration``.
+    """
+
     kind: str
     metadata: dict
     tables: tuple[ReportTable, ...]
-    payload: dict
-    plot_rows: tuple[tuple[str, float | None], ...]
+    result: dict
+    summary: ReportTable | None = None
+    plot_label: str | None = None
 
 
 def fit_report(
@@ -63,60 +78,39 @@ def fit_report(
     result: RecognitionResult,
 ) -> ReportDocument:
     required = rule.required(profile.n_factors)
-    profile_table = ReportTable(
-        title=f"interval profile ({profile.n_critical_train} critical training years)",
-        columns=("factor", "lo", "hi", "widen_eps"),
-        rows=tuple(
-            (iv.factor, _cell(iv.lo), _cell(iv.hi), _cell(iv.widen_eps))
-            for iv in profile.intervals
-        ),
+    intervals = ReportTable(
+        f"interval profile ({profile.n_critical_train} critical training years)",
+        ("factor", "lo", "hi", "widen_eps"),
+        tuple((iv.factor, iv.lo, iv.hi, iv.widen_eps) for iv in profile.intervals),
     )
-    flagged = set(result.flagged_years)
-    year_table = ReportTable(
-        title=f"per-year recognition (quorum requires {required} of {profile.n_factors})",
-        columns=("year", "incidence", "critical", "membership", "flagged"),
-        rows=tuple(
-            (
-                str(year),
-                _cell(m.incidence[i]),
-                _cell(labels.is_critical[i]),
-                str(result.per_year_membership[year]),
-                _cell(year in flagged),
+    per_year = ReportTable(
+        f"per-year recognition (quorum requires {required} of {profile.n_factors})",
+        ("year", "incidence", "critical", "membership", "flagged"),
+        tuple(
+            zip(
+                m.years,
+                m.incidence,
+                labels.is_critical,
+                map(result.per_year_membership.__getitem__, m.years),
+                map(set(result.flagged_years).__contains__, m.years),
             )
-            for i, year in enumerate(m.years)
         ),
     )
-    summary = ReportTable(
-        title="recognition summary",
-        columns=("x", "y", "p"),
-        rows=((str(result.x), str(result.y), _cell(result.p)),),
-    )
-    payload = {
-        "profile": profile.to_dict(),
-        "quorum": rule.q,
-        "required": required,
-        "per_year": [
-            {
-                "year": year,
-                "incidence": m.incidence[i],
-                "critical": labels.is_critical[i],
-                "membership": result.per_year_membership[year],
-                "flagged": year in flagged,
-            }
-            for i, year in enumerate(m.years)
-        ],
-        "flagged_years": list(result.flagged_years),
-        "x": result.x,
-        "y": result.y,
-        "p": result.p,
-    }
-    label = f"q={format_number(rule.q)}"
     return ReportDocument(
         kind="fit",
         metadata=dict(metadata),
-        tables=(profile_table, year_table, summary),
-        payload=payload,
-        plot_rows=((label, result.p),),
+        tables=(intervals, per_year),
+        result={
+            "profile": {"n_critical_train": profile.n_critical_train, "intervals": intervals},
+            "quorum": rule.q,
+            "required": required,
+            "per_year": per_year,
+            "flagged_years": result.flagged_years,
+        },
+        summary=ReportTable(
+            "recognition summary", ("x", "y", "p"), ((result.x, result.y, result.p),)
+        ),
+        plot_label=f"q={format_number(rule.q)}",
     )
 
 
@@ -128,134 +122,95 @@ def classify_report(
 ) -> ReportDocument:
     """``rows`` holds (year, membership) pairs for the classified input rows."""
     required = rule.required(profile.n_factors)
-    table = ReportTable(
-        title=f"classification (quorum requires {required} of {profile.n_factors})",
-        columns=("year", "membership", "prediction"),
-        rows=tuple(
-            (str(year), str(count), "critical" if count >= required else "non_critical")
+    predictions = ReportTable(
+        f"classification (quorum requires {required} of {profile.n_factors})",
+        ("year", "membership", "prediction"),
+        tuple(
+            (year, count, "critical" if count >= required else "non_critical")
             for year, count in rows
         ),
     )
-    payload = {
-        "quorum": rule.q,
-        "required": required,
-        "predictions": [
-            {
-                "year": year,
-                "membership": count,
-                "prediction": "critical" if count >= required else "non_critical",
-            }
-            for year, count in rows
-        ],
-    }
-    n_critical = sum(1 for _, count in rows if count >= required)
-    payload["n_predicted_critical"] = n_critical
     return ReportDocument(
         kind="classify",
         metadata=dict(metadata),
-        tables=(table,),
-        payload=payload,
-        plot_rows=(),
+        tables=(predictions,),
+        result={
+            "quorum": rule.q,
+            "required": required,
+            "predictions": predictions,
+            "n_predicted_critical": sum(1 for _, count in rows if count >= required),
+        },
     )
 
 
 def backtest_report(metadata: Mapping, result: BacktestResult, rule: QuorumRule) -> ReportDocument:
-    verdicts = ReportTable(
-        title="verdicts",
-        columns=("year", "prediction", "membership", "truth"),
-        rows=tuple(
-            (
-                str(v.year),
-                v.prediction,
-                _cell(v.membership) if v.membership is not None else "-",
-                _cell(v.truth) if v.truth is not None else "-",
-            )
-            for v in result.verdicts
-        ),
-    )
-    summary = ReportTable(
-        title="backtest summary",
-        columns=("x", "y", "p", "no_forecast"),
-        rows=((str(result.x), str(result.y), _cell(result.p), str(result.n_no_forecast)),),
-    )
-    payload = {
-        "verdicts": [
-            {
-                "year": v.year,
-                "prediction": v.prediction,
-                "membership": v.membership,
-                "truth": v.truth,
-            }
-            for v in result.verdicts
-        ],
-        "x": result.x,
-        "y": result.y,
-        "p": result.p,
-        "n_no_forecast": result.n_no_forecast,
-    }
-    label = f"q={format_number(rule.q)}"
+    verdicts = ReportTable("verdicts", Verdict._fields, result.verdicts)
     return ReportDocument(
         kind="backtest",
         metadata=dict(metadata),
-        tables=(verdicts, summary),
-        payload=payload,
-        plot_rows=((label, result.p),),
+        tables=(verdicts,),
+        result={"verdicts": verdicts},
+        summary=ReportTable(
+            "backtest summary",
+            ("x", "y", "p", "n_no_forecast"),
+            ((result.x, result.y, result.p, result.n_no_forecast),),
+        ),
+        plot_label=f"q={format_number(rule.q)}",
     )
 
 
 def sweep_report_document(metadata: Mapping, report: SweepReport) -> ReportDocument:
-    table = ReportTable(
-        title=f"{report.axis} sweep",
-        columns=("configuration", "status", "x", "y", "p", "no_forecast", "note"),
-        rows=tuple(
-            (
-                row.configuration,
-                row.status,
-                _cell(row.x) if row.x is not None else "-",
-                _cell(row.y) if row.y is not None else "-",
-                _cell(row.p) if not (row.status == "skipped") else "-",
-                _cell(row.n_no_forecast) if row.n_no_forecast is not None else "-",
-                row.note,
-            )
-            for row in report.rows
-        ),
-    )
-    payload = {
-        "axis": report.axis,
-        "rows": [
-            {
-                "configuration": row.configuration,
-                "status": row.status,
-                "x": row.x,
-                "y": row.y,
-                "p": row.p,
-                "n_no_forecast": row.n_no_forecast,
-                "note": row.note,
-            }
-            for row in report.rows
-        ],
-    }
+    rows = ReportTable(f"{report.axis} sweep", SweepRow._fields, report.rows)
     return ReportDocument(
         kind="sweep",
         metadata=dict(metadata),
-        tables=(table,),
-        payload=payload,
-        plot_rows=tuple((row.configuration, row.p) for row in report.rows),
+        tables=(rows,),
+        result={"axis": report.axis, "rows": rows},
     )
+
+
+def _all_tables(doc: ReportDocument) -> tuple[ReportTable, ...]:
+    return doc.tables if doc.summary is None else (*doc.tables, doc.summary)
+
+
+def _text_column(values: tuple) -> list[str]:
+    """One column's text cells, with one formatter for a column of one type."""
+    kinds = set(map(type, values))
+    return list(map(_FORMATS.get(kinds.pop(), str) if len(kinds) == 1 else _cell, values))
+
+
+def _text_rows(table: ReportTable) -> list[tuple[str, ...]]:
+    """The text cells of each row.
+
+    ``None`` renders ``-``: nothing applies. Only a ``p`` beside integer
+    counts is undefined precision instead, and renders ``undefined``. The
+    rule reads the row's values, never its cell text.
+    """
+    values = list(zip(*table.rows))
+    columns = list(map(_text_column, values))
+    if values and "p" in table.columns and "x" in table.columns:
+        p, x = table.columns.index("p"), table.columns.index("x")
+        columns[p] = [
+            "undefined" if value is None and isinstance(count, int) else text
+            for text, value, count in zip(columns[p], values[p], values[x])
+        ]
+    return list(zip(*columns))
 
 
 def _render_text(doc: ReportDocument) -> str:
     lines = [f"factorcast {doc.kind} report"]
     lines.append("=" * len(lines[0]))
     lines.extend(f"{key}: {_cell(value)}" for key, value in doc.metadata.items())
-    for table in doc.tables:
-        widths = [max(map(len, column)) for column in zip(table.columns, *table.rows)]
+    for table in _all_tables(doc):
+        columns = tuple(_TEXT_HEADERS.get(key, key) for key in table.columns)
+        rows = _text_rows(table)
+        widths = [max(map(len, column)) for column in zip(columns, *rows)]
         row = "  ".join(f"{{:<{w}}}" for w in widths).format
         lines.append("")
         lines.append(table.title)
-        lines.append(row(*table.columns).rstrip())
+        lines.append(row(*columns).rstrip())
         lines.append("  ".join("-" * w for w in widths))
-        lines.extend(map(str.rstrip, starmap(row, table.rows)))
+        lines.extend(map(str.rstrip, starmap(row, rows)))
     return "\n".join(lines) + "\n"
 
 
@@ -329,16 +284,32 @@ def json_text(value) -> str:
     return _json_at(value, 0) + "\n"
 
 
+def _json_value(value):
+    """``value`` with every table in it written as its list of row objects."""
+    if isinstance(value, ReportTable):
+        return [dict(zip(value.columns, row)) for row in value.rows]
+    if isinstance(value, dict):
+        return {key: _json_value(item) for key, item in value.items()}
+    return value
+
+
 def _render_json(doc: ReportDocument) -> str:
-    return json_text({"report": doc.kind, "metadata": doc.metadata, "result": doc.payload})
+    result = _json_value(doc.result)
+    if doc.summary is not None:
+        result.update(zip(doc.summary.columns, doc.summary.rows[0]))
+    return json_text({"report": doc.kind, "metadata": doc.metadata, "result": result})
 
 
 def _render_plot_csv(doc: ReportDocument) -> str:
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["configuration", "p"])
-    for label, p in doc.plot_rows:
-        writer.writerow([label, "" if p is None else format_number(p)])
+    for table in _all_tables(doc):
+        if "p" in table.columns:
+            p = table.columns.index("p")
+            for row in table.rows:
+                label = doc.plot_label or row[table.columns.index("configuration")]
+                writer.writerow([label, "" if row[p] is None else format_number(row[p])])
     return out.getvalue()
 
 
@@ -372,6 +343,8 @@ def profile_from_json(text: str) -> tuple[IntervalProfile, QuorumRule]:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ProfileError(f"profile document is not valid JSON: {exc}") from None
+    except RecursionError:
+        raise ProfileError("profile document is nested too deeply") from None
     if not isinstance(doc, dict) or doc.get("format") != PROFILE_FORMAT:
         raise ProfileError("not a factorcast profile document")
     if doc.get("version") != PROFILE_VERSION:

@@ -12,6 +12,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, replace
 from itertools import combinations
+from typing import NamedTuple
 
 from .backtest import BacktestConfig, evaluation_masks, tally
 from .errors import TooManyFactors, WindowTooShort
@@ -56,9 +57,11 @@ class SweepSpec:
             raise ValueError(f"axis {self.axis!r} requires an explicit grid")
 
 
-@dataclass(frozen=True)
-class SweepRow:
-    """One grid point: configuration label plus the recognition counts."""
+class SweepRow(NamedTuple):
+    """One grid point: configuration label plus the recognition counts.
+
+    The fields are the keys of a row in a JSON report.
+    """
 
     configuration: str
     status: str  # "ok" | "skipped"

@@ -12,7 +12,6 @@ paths share nothing past ``build_profile``.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Mapping, Sequence
 
 from factorcast.backtest import BacktestConfig, BacktestResult, Verdict
@@ -152,7 +151,7 @@ def _rolling_verdicts(
             widen_eps=cfg.widen_eps,
             year=m.years[t],
         )
-        verdicts.append(replace(verdict, truth=labels.is_critical[t]))
+        verdicts.append(verdict._replace(truth=labels.is_critical[t]))
     return verdicts
 
 

@@ -300,6 +300,13 @@ class TestBadInput:
         err = capsys.readouterr().err
         assert err.startswith("error: malformed profile document") and err.count("\n") == 1
 
+    def test_classify_rejects_deeply_nested_profile(self, workdir, tmp_path, capsys):
+        profile = tmp_path / "nested_profile.json"
+        profile.write_text("[" * 200000 + "]" * 200000, encoding="utf-8")
+        assert self.classify(workdir, workdir / "worked_example.csv", profile) == 2
+        err = capsys.readouterr().err
+        assert err == "error: profile document is nested too deeply\n"
+
     def test_sweep_lag_axis_rejects_lag_flag(self, workdir, capsys):
         base = ["sweep", *we_args(workdir, "--threshold", "8", "--axis", "lag", "--grid", "0,1")]
         with pytest.raises(SystemExit) as err:

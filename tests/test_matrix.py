@@ -13,7 +13,6 @@ from factorcast import (
     apply_uniform_lag,
     label_critical,
     parse_matrix,
-    select_factors,
 )
 from factorcast.errors import (
     DuplicateYear,
@@ -207,36 +206,14 @@ class TestLag:
 
 
 class TestSelection:
-    def test_select_all_is_identity(self):
-        m = parse_matrix(THREE_YEARS)
-        assert select_factors(m, FactorSelection.all_of(m)) == m
-
-    def test_projection_shape(self):
-        m = make_matrix((1.0, 2.0, 3.0), a=(1.0, 1.0, 1.0), b=(2.0, 2.0, 2.0), c=(3.0, 3.0, 3.0))
-        projected = select_factors(m, FactorSelection(("b",)))
-        assert projected.factor_names == ("b",)
-        assert projected.years == m.years
-        assert projected.incidence == m.incidence
-
     def test_unknown_factor(self):
         m = parse_matrix(THREE_YEARS)
         with pytest.raises(UnknownFactor):
-            select_factors(m, FactorSelection(("nope",)))
+            FactorSelection(("nope",)).validate_against(m)
 
     def test_empty_selection(self):
         with pytest.raises(EmptySelection):
             FactorSelection(())
-
-    @settings(max_examples=60)
-    @given(st.integers(0, 2**32))
-    def test_selection_commutes_with_labeling(self, seed):
-        rng = random.Random(seed)
-        m = random_matrix(rng, f_max=3)
-        threshold = CriticalThreshold(rng.choice(m.incidence))
-        selection = FactorSelection(m.factor_names[:1])
-        before = label_critical(m, threshold)
-        after = label_critical(select_factors(m, selection), threshold)
-        assert before.is_critical == after.is_critical
 
 
 class TestConstruction:

@@ -4,7 +4,7 @@
 sort_keys=True, ensure_ascii=True)`` plus a newline, the call every report
 and profile used before, which stays here as the reference. ``_render_text``
 must return exactly what the cell-by-cell renderer in ``_reference_report``
-returns.
+returns, and every JSON report must encode ``_reference_report.json_body``.
 """
 
 import json
@@ -166,8 +166,7 @@ class TestReports:
     @settings(max_examples=200, deadline=None)
     @given(report_documents())
     def test_json_and_text_match_references(self, doc):
-        body = {"report": doc.kind, "metadata": doc.metadata, "result": doc.payload}
-        assert emit_report(doc, "json") == reference_json(body)
+        assert emit_report(doc, "json") == reference_json(ref.json_body(doc))
         assert emit_report(doc, "text") == ref.render_text(doc)
 
     @settings(max_examples=100, deadline=None)
@@ -189,8 +188,7 @@ def text_doc(*tables, metadata=None):
         kind="test",
         metadata={"input": "x.csv", "quorum": 0.75} if metadata is None else metadata,
         tables=tables,
-        payload={},
-        plot_rows=(),
+        result={},
     )
 
 

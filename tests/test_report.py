@@ -20,8 +20,10 @@ from factorcast import (
     sweep_report_document,
     threshold_sensitivity,
 )
+from factorcast import report as report_module
+from factorcast.backtest import Verdict
 from factorcast.errors import ProfileError
-from factorcast.report import backtest_report, fit_report
+from factorcast.report import backtest_report, classify_report, fit_report
 from factorcast.sweeps import SweepReport, SweepRow, SweepSpec
 
 
@@ -73,6 +75,45 @@ class TestEmission:
     def test_unknown_format_rejected(self):
         with pytest.raises(ValueError):
             emit_report(fit_doc(), "yaml")
+
+
+class TestFormatLaziness:
+    def results(self):
+        m, labels = fixture()
+        rule = QuorumRule(1.0)
+        selection = FactorSelection(("f",))
+        cfg = BacktestConfig(rule=rule, threshold=labels.threshold, min_train_years=3)
+        spec = SweepSpec("threshold", selection, cfg, (8.0, 99.0))
+        return rule, rolling_backtest(m, labels, selection, cfg), threshold_sensitivity(m, spec)
+
+    def test_only_text_formats_cells(self, monkeypatch):
+        calls = []
+        cell = report_module._cell
+        monkeypatch.setattr(report_module, "_cell", lambda v: calls.append(v) or cell(v))
+        m, labels = fixture()
+        rule, backtest, sweep = self.results()
+        profile = build_profile(m, labels, FactorSelection(("f",)))
+        docs = [
+            fit_doc(),
+            classify_report(META, profile, rule, ((2000, 1), (2001, 0))),
+            backtest_report(META, backtest, rule),
+            sweep_report_document(META, sweep),
+        ]
+        assert calls == []
+        for doc in docs:
+            emit_report(doc, "json")
+            emit_report(doc, "plot_csv")
+        assert calls == []
+        for doc in docs:
+            emit_report(doc, "text")
+        assert calls
+
+    def test_result_tuples_are_the_table_rows(self):
+        rule, backtest, sweep = self.results()
+        (verdicts,) = backtest_report(META, backtest, rule).tables
+        assert verdicts.rows is backtest.verdicts and verdicts.columns == Verdict._fields
+        (rows,) = sweep_report_document(META, sweep).tables
+        assert rows.rows is sweep.rows and rows.columns == SweepRow._fields
 
 
 class TestUndefinedPrecision:
