@@ -88,6 +88,20 @@ def setup_cli_workdir(tmp_path: Path) -> Path:
     assert (
         main(
             [
+                "synth",
+                "--seed", "11",
+                "--years", "40",
+                "--factors", "5",
+                "--critical-fraction", "0.4",
+                "--noise", "0.1",
+                "--output", str(tmp_path / "planted_long.csv"),
+            ]
+        )
+        == 0
+    )
+    assert (
+        main(
+            [
                 "fit",
                 "--input", str(tmp_path / "worked_example.csv"),
                 "--threshold", "8",
@@ -107,6 +121,20 @@ def _we(d: Path, *extra: str) -> list[str]:
 
 def _planted(d: Path, *extra: str) -> list[str]:
     return ["--input", str(d / "planted.csv"), *extra]
+
+
+def _planted_long(d: Path, mode: str, fmt: str) -> list[str]:
+    """A widened backtest of the 40-year planted file, whose envelopes move often."""
+    return [
+        "backtest",
+        "--input", str(d / "planted_long.csv"),
+        "--threshold", "10",
+        "--quorum", "0.6",
+        "--min-train-years", "5",
+        "--widen-eps", "0.5",
+        "--mode", mode,
+        "--format", fmt,
+    ]
 
 
 GOLDEN_CASES = [
@@ -165,6 +193,22 @@ GOLDEN_CASES = [
             ),
         ],
     ),
+    (
+        "backtest_loo.txt",
+        lambda d: [
+            "backtest",
+            *_we(
+                d,
+                "--threshold", "8",
+                "--quorum", "1.0",
+                "--min-train-years", "3",
+                "--mode", "leave_one_out",
+                "--format", "text",
+            ),
+        ],
+    ),
+    ("backtest_planted_rolling.json", lambda d: _planted_long(d, "rolling", "json")),
+    ("backtest_planted_loo.txt", lambda d: _planted_long(d, "leave_one_out", "text")),
     (
         "sweep_quorum.txt",
         lambda d: [
