@@ -16,13 +16,7 @@ from dataclasses import dataclass
 from typing import Literal, NamedTuple, Sequence
 
 from .errors import InsufficientYears
-from .matrix import (
-    CriticalLabels,
-    CriticalThreshold,
-    FactorSelection,
-    TemporalMatrix,
-    label_critical,
-)
+from .matrix import CriticalLabels, CriticalThreshold, FactorSelection, TemporalMatrix
 from .recognizer import QuorumRule, check_labels, membership_masks, precision
 
 EvalMode = Literal["rolling", "leave_one_out", "in_sample"]
@@ -116,9 +110,10 @@ def evaluation_masks(
         raise ValueError("labels threshold differs from backtest config threshold")
     rolling = cfg.eval_mode == "rolling"
     start = cfg.min_train_years if rolling else 0
+    value = labels.threshold.value
     masks = membership_masks(
         [m.factor_values(name) for name in names],
-        (label_critical(m, labels.threshold) if rolling else labels).is_critical,
+        tuple(v >= value for v in m.incidence) if rolling else labels.is_critical,
         cfg.eval_mode,
         widen_eps=cfg.widen_eps,
         start=start,
@@ -165,10 +160,11 @@ def rolling_backtest(
         except itself (when it is critical); equals in_sample for
         non-critical years.
 
-    Every mode is one pass of the membership kernel, so a backtest costs
-    O(n·F) for n years and F factors: rolling keeps a running per-factor
-    min/max instead of rebuilding the prefix at each origin, and
-    leave-one-out holds a year out in O(F).
+    Every mode is one pass of the membership kernel over each factor column,
+    so a backtest costs O(n·F) for n years and F factors: rolling keeps a
+    running min/max per factor instead of rebuilding the prefix at each
+    origin, and leave-one-out patches the in-sample bits of the critical
+    years that sit alone on an envelope edge.
     """
     masks, truth = evaluation_masks(m, labels, selection.names, cfg)
     required = cfg.rule.required(selection.n_factors)

@@ -177,8 +177,8 @@ class CriticalLabels:
     threshold: CriticalThreshold
 
     def __post_init__(self):
-        object.__setattr__(self, "years", tuple(int(y) for y in self.years))
-        object.__setattr__(self, "is_critical", tuple(bool(b) for b in self.is_critical))
+        object.__setattr__(self, "years", tuple(map(int, self.years)))
+        object.__setattr__(self, "is_critical", tuple(map(bool, self.is_critical)))
         if len(self.years) != len(self.is_critical):
             raise MatrixError("labels length does not match years")
 

@@ -10,6 +10,7 @@ and recognition precision is ``p = x / (x + y)``.
 Every evaluation path reads one kernel, :func:`membership_masks`: per year an
 ``int`` whose bit j is set when factor j's value lies inside its envelope, so
 a factor subset scores ``(mask & subset_bits).bit_count()`` against a quorum.
+Every mode walks the matrix one factor column at a time.
 
 All functions are pure; many (profile, rule) configurations can be evaluated
 concurrently over the same matrix without coordination.
@@ -17,10 +18,10 @@ concurrently over the same matrix without coordination.
 
 from __future__ import annotations
 
-import heapq
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import compress
+from itertools import accumulate, compress
 from typing import Mapping, Sequence
 
 from .errors import (
@@ -184,14 +185,6 @@ def build_profile(
     return IntervalProfile(tuple(intervals), len(critical_idx))
 
 
-def _row_mask(row: Sequence[float], lo: Sequence[float], hi: Sequence[float]) -> int:
-    mask = 0
-    for j, value in enumerate(row):
-        if lo[j] <= value <= hi[j]:
-            mask |= 1 << j
-    return mask
-
-
 def _column_masks(
     columns: Sequence[Sequence[float]], n_rows: int, lo: Sequence[float], hi: Sequence[float]
 ) -> list[int]:
@@ -221,14 +214,13 @@ def membership_masks(
 
     - rolling: those before the row, as a running min/max. Rows before
       ``start`` get no entry; None while fewer than ``min_critical`` precede.
-    - leave_one_out: all but the row itself, from the two smallest and two
-      largest critical values per factor; None for a lone critical row.
+    - leave_one_out: all but the row itself; None for a lone critical row.
     - in_sample: all of them; None for every row when there is none.
 
     A ``profile`` fixes the envelopes to its intervals instead, whatever the
-    mode. Every mode costs O(n·F) for n rows and F factors. Fixed envelopes
-    (a profile, in_sample, and the leave-one-out rows that are not held out)
-    are scored a column at a time; rolling and held-out rows row by row.
+    mode. Every mode is one pass per factor column and costs O(n·F) for n
+    rows and F factors (leave-one-out and in-sample add a sort of the
+    critical values).
     """
     n_rows = len(columns[0]) if columns else 0
     if profile is not None:
@@ -237,36 +229,47 @@ def membership_masks(
         return _column_masks(columns, n_rows, lo, hi)
     eps = float(widen_eps)
     if mode == "rolling":
-        lo, hi = [math.inf] * len(columns), [-math.inf] * len(columns)
-        seen, masks = 0, []
-        for t, row in enumerate(zip(*columns)):
-            if t >= start:
-                masks.append(_row_mask(row, lo, hi) if seen >= min_critical else None)
-            if critical[t]:
-                seen += 1
-                lo = [min(a, v - eps) for a, v in zip(lo, row)]
-                hi = [max(b, v + eps) for b, v in zip(hi, row)]
-        return masks
+        # The first scored row has min_critical critical rows before it.
+        before = list(accumulate(critical, initial=0))
+        first = min(max(start, bisect_left(before, min_critical)), n_rows)
+        tail = critical[first:n_rows]
+        masks = [0] * (n_rows - first)
+        for j, col in enumerate(columns):
+            bit = 1 << j
+            seed = list(compress(col[:first], critical))
+            lo = min(seed, default=math.inf) - eps
+            hi = max(seed, default=-math.inf) + eps
+            # Score a row against the rows before it, then fold it in if critical.
+            for k, (v, c) in enumerate(zip(col[first:], tail)):
+                if lo <= v <= hi:
+                    masks[k] |= bit
+                if c:
+                    if v - eps < lo:
+                        lo = v - eps
+                    if v + eps > hi:
+                        hi = v + eps
+        return [None] * (first - start) + masks  # [] when start > n_rows
     if mode not in ("leave_one_out", "in_sample"):
         raise ValueError(f"unknown evaluation mode {mode!r}")
     train = [list(compress(col, critical)) for col in columns]
     if not train or not train[0]:
         return [None] * n_rows
-    lows = [heapq.nsmallest(2, values) for values in train]
-    highs = [heapq.nlargest(2, values) for values in train]
-    lo = [s[0] - eps for s in lows]
-    hi = [s[0] + eps for s in highs]
-    masks = _column_masks(columns, n_rows, lo, hi)
+    ranked = [sorted(values) for values in train]
+    masks = _column_masks(
+        columns, n_rows, [s[0] - eps for s in ranked], [s[-1] + eps for s in ranked]
+    )
     if mode == "leave_one_out":
-        for i in compress(range(n_rows), critical):
-            if len(train[0]) == 1:
-                masks[i] = None
-                continue
-            # Holding out a row on an envelope edge moves that edge to the runner-up.
-            row = [col[i] for col in columns]
-            held_lo = [(s[1] if v == s[0] else s[0]) - eps for s, v in zip(lows, row)]
-            held_hi = [(s[1] if v == s[0] else s[0]) + eps for s, v in zip(highs, row)]
-            masks[i] = _row_mask(row, held_lo, held_hi)
+        # Every critical row is inside the full envelope. Held out, a row that is
+        # a factor's unique minimum (maximum) moves that edge to the runner-up.
+        rows = list(compress(range(n_rows), critical))
+        if len(rows) == 1:
+            masks[rows[0]] = None
+            return masks
+        for j, (values, s) in enumerate(zip(train, ranked)):
+            if s[0] < s[1] - eps:
+                masks[rows[values.index(s[0])]] &= ~(1 << j)
+            if s[-1] > s[-2] + eps:
+                masks[rows[values.index(s[-1])]] &= ~(1 << j)
     return masks
 
 

@@ -2,8 +2,10 @@
 
 Every backtest mode and every sweep axis reads ``membership_masks``; these
 property tests compare them with ``_reference_backtest``, which rebuilds a
-prefix matrix and its profile at every origin. Factor values come from the
-half-unit ``VALUE_GRID``, so many values sit exactly on an envelope edge.
+prefix matrix and its profile at every origin, and compare the kernel itself
+with the row-at-a-time kernel kept in ``_reference_kernel``. Factor values
+come from the half-unit ``VALUE_GRID``, so many values sit exactly on an
+envelope edge.
 """
 
 from dataclasses import replace
@@ -32,6 +34,7 @@ from factorcast.recognizer import FactorInterval, IntervalProfile, membership_ma
 from factorcast.sweeps import SweepSpec
 
 from _reference_backtest import reference_backtest
+from _reference_kernel import membership_masks as reference_masks
 from _support import QUORUM_CHOICES, VALUE_GRID
 
 EPS_CHOICES = (0.0, 0.0, 0.1, 0.25, 0.5, 1.0)
@@ -255,3 +258,59 @@ def test_kernel_bits_name_the_factors_inside():
         0b11,
     ]
     assert membership_masks(columns, (False,) * 4, "in_sample") == [None] * 4
+
+
+@st.composite
+def kernel_cases(draw, f_max=20, n_max=40):
+    """Kernel arguments, including some no ``BacktestConfig`` reaches.
+
+    Rows hold zero, one, two or any number of critical rows, and a factor
+    often repeats a critical row's value at another critical row, so its two
+    smallest or two largest critical values tie. ``-0.0`` joins the grid to
+    tie with ``0.0``. ``min_critical`` runs from 0 and ``start`` past the end.
+    """
+    f = draw(st.integers(1, f_max))
+    n = draw(st.integers(0, n_max))
+    grid = st.sampled_from((*VALUE_GRID, -0.0))
+    columns = [draw(st.lists(grid, min_size=n, max_size=n)) for _ in range(f)]
+    n_critical = draw(st.sampled_from((0, 1, 2, None)))
+    if n_critical is None:
+        critical = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    else:
+        size = min(n, n_critical)
+        rows = draw(st.sets(st.integers(0, max(n - 1, 0)), min_size=size, max_size=size))
+        critical = [i in rows for i in range(n)]
+    rows = [i for i, c in enumerate(critical) if c]
+    if len(rows) >= 2:
+        for col in columns:
+            if draw(st.booleans()):
+                a, b = draw(st.lists(st.sampled_from(rows), min_size=2, max_size=2))
+                col[b] = col[a]
+    kwargs = {
+        "widen_eps": draw(st.sampled_from(EPS_CHOICES)),
+        "start": draw(st.integers(0, n + 2)),
+        "min_critical": draw(st.integers(0, 3)),
+    }
+    return [tuple(col) for col in columns], tuple(critical), kwargs
+
+
+@pytest.mark.parametrize("mode", EVAL_MODES)
+@settings(max_examples=400, deadline=None)
+@given(case=kernel_cases())
+def test_kernel_matches_row_at_a_time_reference(mode, case):
+    columns, critical, kwargs = case
+    assert membership_masks(columns, critical, mode, **kwargs) == reference_masks(
+        columns, critical, mode, **kwargs
+    )
+
+
+@pytest.mark.parametrize("mode", EVAL_MODES)
+def test_kernel_edge_arguments_match_reference(mode):
+    columns = [(1.0, -0.0, 0.0, 2.0), (0.5, 0.5, -1.0, 0.5)]
+    for critical in ((False,) * 4, (True, False, False, False), (False, True, True, True)):
+        for start in (0, 3, 4, 5, 6):
+            for min_critical in (0, 1, 2, 3):
+                kwargs = {"start": start, "min_critical": min_critical, "widen_eps": 0.5}
+                assert membership_masks(columns, critical, mode, **kwargs) == reference_masks(
+                    columns, critical, mode, **kwargs
+                )
