@@ -137,6 +137,21 @@ def _planted_long(d: Path, mode: str, fmt: str) -> list[str]:
     ]
 
 
+def _planted_long_sweep(d: Path, axis: str, grid: str, mode: str, fmt: str, *extra: str):
+    """A sweep of the 40-year planted file in a backtest mode other than in-sample."""
+    return [
+        "sweep",
+        "--input", str(d / "planted_long.csv"),
+        "--quorum", "0.6",
+        "--min-train-years", "5",
+        "--axis", axis,
+        "--grid", grid,
+        "--mode", mode,
+        "--format", fmt,
+        *extra,
+    ]
+
+
 GOLDEN_CASES = [
     (
         "fit.txt",
@@ -291,6 +306,28 @@ GOLDEN_CASES = [
                 d, "--threshold", "10", "--axis", "lag", "--grid", "0,1", "--format", "text"
             ),
         ],
+    ),
+    (
+        "sweep_lag_rolling.txt",
+        lambda d: _planted_long_sweep(
+            d, "lag", "0,1,3", "rolling", "text", "--threshold", "10", "--widen-eps", "0.5"
+        ),
+    ),
+    (
+        "sweep_row_length_loo.txt",
+        lambda d: _planted_long_sweep(
+            d,
+            "row_length",
+            "8,20,40,41",
+            "leave_one_out",
+            "text",
+            "--threshold", "10",
+            "--widen-eps", "0.5",
+        ),
+    ),
+    (
+        "sweep_threshold_rolling.json",
+        lambda d: _planted_long_sweep(d, "threshold", "5,10,19.5,25", "rolling", "json"),
     ),
     (
         "sweep_row_length.txt",
