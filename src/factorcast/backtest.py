@@ -93,6 +93,13 @@ def select_threshold(m: TemporalMatrix, min_critical: int = 2) -> CriticalThresh
     return CriticalThreshold(m.incidence[m.incidence.index(value)], "selected")
 
 
+def threshold_value(labels: CriticalLabels, cfg: BacktestConfig) -> float:
+    """The labels' threshold value, which must be the configuration's."""
+    if labels.threshold.value != cfg.threshold.value:
+        raise ValueError("labels threshold differs from backtest config threshold")
+    return labels.threshold.value
+
+
 def evaluation_masks(
     m: TemporalMatrix,
     labels: CriticalLabels,
@@ -106,11 +113,9 @@ def evaluation_masks(
     truth of every year is read from ``labels``.
     """
     check_labels(m, labels)
-    if labels.threshold.value != cfg.threshold.value:
-        raise ValueError("labels threshold differs from backtest config threshold")
+    value = threshold_value(labels, cfg)
     rolling = cfg.eval_mode == "rolling"
     start = cfg.min_train_years if rolling else 0
-    value = labels.threshold.value
     masks = membership_masks(
         [m.factor_values(name) for name in names],
         tuple(v >= value for v in m.incidence) if rolling else labels.is_critical,

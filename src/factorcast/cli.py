@@ -54,14 +54,16 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+def _fraction(text: str) -> float:
+    """A number, or a percent such as '75%' divided by 100; ValueError otherwise."""
+    raw = text.strip()
+    return float(raw[:-1]) / 100.0 if raw.endswith("%") else float(raw)
+
+
 def _quorum(text: str) -> float:
     """Fraction in (0, 1]; percent input such as '75%' is normalized."""
-    raw = text.strip()
     try:
-        if raw.endswith("%"):
-            value = float(raw[:-1]) / 100.0
-        else:
-            value = float(raw)
+        value = _fraction(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid quorum {text!r}") from None
     if not (0.0 < value <= 1.0):
@@ -364,7 +366,7 @@ def _parse_grid(args, parser_error) -> tuple | None:
     values = [part.strip() for part in raw.split(",") if part.strip()]
     if not values:
         parser_error("empty --grid")
-    convert = int if args.axis in ("lag", "row_length") else float
+    convert = {"lag": int, "row_length": int, "quorum": _fraction}.get(args.axis, float)
     try:
         grid = tuple(convert(v) for v in values)
     except ValueError:

@@ -135,9 +135,6 @@ class TemporalMatrix:
     def prefix(self, n_rows: int) -> "TemporalMatrix":
         return self.window(0, n_rows)
 
-    def suffix(self, n_rows: int) -> "TemporalMatrix":
-        return self.window(self.n_years - n_rows, self.n_years)
-
     def to_csv(self) -> str:
         """Serialize back to the canonical CSV format.
 
@@ -185,10 +182,6 @@ class CriticalLabels:
     @property
     def n_critical(self) -> int:
         return sum(self.is_critical)
-
-    @property
-    def n_noncritical(self) -> int:
-        return len(self.years) - self.n_critical
 
     @property
     def critical_years(self) -> tuple[int, ...]:
@@ -353,6 +346,14 @@ def label_critical(m: TemporalMatrix, threshold: CriticalThreshold) -> CriticalL
     return CriticalLabels(m.years, flags, threshold)
 
 
+def check_lag(lag: int, n_years: int) -> None:
+    """Raise unless ``lag`` leaves at least one of ``n_years`` rows."""
+    if lag < 0:
+        raise ValueError("lag must be non-negative")
+    if lag >= n_years:
+        raise LagTooLarge(lag, n_years)
+
+
 def apply_uniform_lag(m: TemporalMatrix, factors: Iterable[str], lag: int) -> TemporalMatrix:
     """Pair incidence of year t with the named factors' values from year t - lag.
 
@@ -364,10 +365,7 @@ def apply_uniform_lag(m: TemporalMatrix, factors: Iterable[str], lag: int) -> Te
     for name in names:
         if name not in m.columns:
             raise UnknownFactor(name)
-    if lag < 0:
-        raise ValueError("lag must be non-negative")
-    if lag >= m.n_years:
-        raise LagTooLarge(lag, m.n_years)
+    check_lag(lag, m.n_years)
     if lag == 0:
         return m
     lagged = set(names)

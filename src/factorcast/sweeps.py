@@ -4,27 +4,21 @@ Each sweep varies exactly one axis of a base configuration and reports one
 row per grid point. Reports are deterministic for fixed inputs: grid order is
 preserved, factor subsets are enumerated by size then lexicographically, and
 infeasible grid points stay in the report as skipped rows so the sweep shape
-always matches the grid.
+always matches the grid. The threshold, lag and row-length sweeps score each
+grid point with one kernel pass over column slices of the input matrix.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import combinations
 from typing import NamedTuple
 
-from .backtest import BacktestConfig, evaluation_masks, tally
+from .backtest import BacktestConfig, evaluation_masks, tally, threshold_value
 from .errors import TooManyFactors, WindowTooShort
-from .matrix import (
-    CriticalLabels,
-    CriticalThreshold,
-    FactorSelection,
-    TemporalMatrix,
-    apply_uniform_lag,
-    label_critical,
-)
-from .recognizer import QuorumRule, precision
+from .matrix import CriticalLabels, CriticalThreshold, FactorSelection, TemporalMatrix, check_lag
+from .recognizer import QuorumRule, membership_masks, precision
 
 MAX_SUBSET_FACTORS = 16
 
@@ -87,19 +81,19 @@ def _skipped_row(label: str, note: str) -> SweepRow:
 
 
 def _grid_point_row(
-    label: str,
-    m: TemporalMatrix,
-    labels: CriticalLabels,
-    spec: SweepSpec,
-    cfg: BacktestConfig,
-    skip_few_critical: bool = True,
+    label: str, columns: list, incidence: tuple, value: float, cfg: BacktestConfig, skip: bool
 ) -> SweepRow:
-    """One grid point of a sweep that changes the data or its labels: one kernel pass."""
-    if skip_few_critical and labels.n_critical < cfg.min_train_critical:
-        note = f"{labels.n_critical} critical years, {cfg.min_train_critical} required"
+    """One kernel pass over aligned row slices; years at or above ``value`` train and are truth."""
+    critical = [v >= value for v in incidence]
+    n_critical = sum(critical)
+    if skip and n_critical < cfg.min_train_critical:
+        note = f"{n_critical} critical years, {cfg.min_train_critical} required"
         return _skipped_row(label, note)
-    n = spec.selection.n_factors
-    groups = Counter(zip(*evaluation_masks(m, labels, spec.selection.names, cfg)))
+    start = cfg.min_train_years if cfg.eval_mode == "rolling" else 0
+    kwargs = {"widen_eps": cfg.widen_eps, "start": start, "min_critical": cfg.min_train_critical}
+    masks = membership_masks(columns, critical, cfg.eval_mode, **kwargs)
+    groups = Counter(zip(masks, critical[start:]))
+    n = len(columns)
     return _ok_row(label, *tally(groups, (1 << n) - 1, cfg.rule.required(n)))
 
 
@@ -163,47 +157,48 @@ def threshold_sensitivity(m: TemporalMatrix, spec: SweepSpec) -> SweepReport:
     Thresholds yielding fewer than ``min_train_critical`` critical years are
     reported as skipped rows rather than dropped.
     """
+    columns = [m.factor_values(name) for name in spec.selection.names]
     rows = []
     for value in spec.grid:
-        threshold = CriticalThreshold(float(value), "selected")
-        cfg = replace(spec.config, threshold=threshold)
-        labels = label_critical(m, threshold)
-        rows.append(_grid_point_row(repr(threshold.value), m, labels, spec, cfg))
+        value = CriticalThreshold(float(value), "selected").value
+        rows.append(_grid_point_row(repr(value), columns, m.incidence, value, spec.config, True))
     return SweepReport("threshold", tuple(rows))
 
 
 def lag_sweep(m: TemporalMatrix, labels: CriticalLabels, spec: SweepSpec) -> SweepReport:
-    """One row per lag, applied uniformly to all selected factors."""
+    """One row per lag L: each selected column's first n - L rows against the last n - L years."""
+    columns = [m.factor_values(name) for name in spec.selection.names]
+    value = threshold_value(labels, spec.config)
+    n = m.n_years
     rows = []
-    for lag in spec.grid:
-        lag = int(lag)
-        lagged = apply_uniform_lag(m, spec.selection.names, lag)
-        lagged_labels = label_critical(lagged, labels.threshold)
-        rows.append(_grid_point_row(str(lag), lagged, lagged_labels, spec, spec.config, False))
+    for lag in map(int, spec.grid):
+        check_lag(lag, n)
+        lagged = [col[: n - lag] for col in columns]
+        rows.append(_grid_point_row(str(lag), lagged, m.incidence[lag:], value, spec.config, False))
     return SweepReport("lag", tuple(rows))
 
 
 def row_length_sweep(
     m: TemporalMatrix, labels: CriticalLabels, spec: SweepSpec
 ) -> SweepReport:
-    """One row per trailing-window length k, evaluated on the last k years.
+    """One row per trailing-window length k: the last k rows of the columns and incidence.
 
     Grid values below ``min_train_years`` violate the grid contract and
     raise; windows longer than the series or holding too few critical years
     are reported as skipped rows.
     """
+    columns = [m.factor_values(name) for name in spec.selection.names]
+    value = threshold_value(labels, spec.config)
+    n = m.n_years
     rows = []
-    for k in spec.grid:
-        k = int(k)
+    for k in map(int, spec.grid):
         if k < spec.config.min_train_years:
             raise WindowTooShort(k, spec.config.min_train_years)
-        label = str(k)
-        if k > m.n_years:
-            rows.append(_skipped_row(label, f"window exceeds {m.n_years}-year series"))
+        if k > n:
+            rows.append(_skipped_row(str(k), f"window exceeds {n}-year series"))
             continue
-        window = m.suffix(k)
-        window_labels = label_critical(window, labels.threshold)
-        rows.append(_grid_point_row(label, window, window_labels, spec, spec.config))
+        window = [col[n - k :] for col in columns]
+        rows.append(_grid_point_row(str(k), window, m.incidence[n - k :], value, spec.config, True))
     return SweepReport("row_length", tuple(rows))
 
 

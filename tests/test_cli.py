@@ -95,6 +95,25 @@ class TestBehavior:
         with_fraction = capsys.readouterr().out
         assert with_percent == with_fraction
 
+    @pytest.mark.parametrize("fmt", ["plot_csv", "text", "json"])
+    def test_percent_quorum_grid_normalized(self, workdir, capsys, fmt):
+        base = ["sweep", *we_args(workdir, "--threshold", "8", "--axis", "quorum", "--format", fmt)]
+        assert main([*base, "--grid", "50%,100%"]) == 0
+        with_percent = capsys.readouterr().out
+        assert main([*base, "--grid", "0.5,1.0"]) == 0
+        with_fraction = capsys.readouterr().out
+        # The metadata echoes --grid as typed; every other byte is the same.
+        if fmt == "text":
+            with_percent = with_percent.replace("grid: 50%,100%\n", "grid: 0.5,1.0\n", 1)
+        if fmt == "json":
+            with_percent = with_percent.replace('"grid": "50%,100%"', '"grid": "0.5,1.0"', 1)
+        assert with_percent == with_fraction
+
+    def test_out_of_range_percent_quorum_grid_is_data_error(self, workdir, capsys):
+        argv = ["sweep", *we_args(workdir, "--threshold", "8", "--axis", "quorum")]
+        assert main([*argv, "--grid", "50%,150%"]) == 2
+        assert capsys.readouterr().err == "error: quorum must be a fraction in (0, 1], got 1.5\n"
+
     def test_classify_round_trip(self, workdir, capsys):
         code = main(
             [

@@ -152,25 +152,38 @@ def test_quorum_sweep_rows_match_one_reference_backtest_each(data):
         assert row_counts(row) == counts(expected)
 
 
+def expected_row(m, labels, selection, cfg, skip_few_critical=True):
+    """Status, counts and note of one data-changing grid point, from the reference."""
+    if skip_few_critical and labels.n_critical < cfg.min_train_critical:
+        note = f"{labels.n_critical} critical years, {cfg.min_train_critical} required"
+        return "skipped", (None, None, None, None), note
+    return "ok", counts(reference_backtest(m, labels, selection, cfg)), ""
+
+
+def assert_rows(report, expected):
+    assert [(row.status, row_counts(row), row.note) for row in report.rows] == expected
+
+
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
 def test_data_changing_sweeps_match_reference(data):
     m, labels, selection, cfg = data.draw(configurations())
     labels = label_critical(m, labels.threshold)
 
-    grid = tuple(sorted(set(m.incidence)))
+    grid = tuple(sorted(set(m.incidence))) + (max(m.incidence) + 1.0,)
     report = threshold_sensitivity(m, SweepSpec("threshold", selection, cfg, grid))
-    for value, row in zip(grid, report.rows):
+    expected = []
+    for value in grid:
         relabeled = label_critical(m, CriticalThreshold(value, "selected"))
-        if row.status == "ok":
-            cfg_t = replace(cfg, threshold=relabeled.threshold)
-            assert row_counts(row) == counts(reference_backtest(m, relabeled, selection, cfg_t))
-        else:
-            assert relabeled.n_critical < cfg.min_train_critical
+        cfg_t = replace(cfg, threshold=relabeled.threshold)
+        expected.append(expected_row(m, relabeled, selection, cfg_t))
+    assert [row.configuration for row in report.rows] == [repr(value) for value in grid]
+    assert_rows(report, expected)
 
     lags = tuple(range(min(3, m.n_years)))
     report = lag_sweep(m, labels, SweepSpec("lag", selection, cfg, lags))
-    for lag, row in zip(lags, report.rows):
+    expected = []
+    for lag in lags:
         lagged = m if lag == 0 else TemporalMatrix(
             m.years[lag:],
             m.incidence[lag:],
@@ -181,20 +194,23 @@ def test_data_changing_sweeps_match_reference(data):
             },
         )
         lagged_labels = label_critical(lagged, labels.threshold)
-        assert row_counts(row) == counts(reference_backtest(lagged, lagged_labels, selection, cfg))
+        expected.append(expected_row(lagged, lagged_labels, selection, cfg, False))
+    assert_rows(report, expected)
 
     lengths = tuple(range(cfg.min_train_years, m.n_years + 2))
     if not lengths:
         return
     report = row_length_sweep(m, labels, SweepSpec("row_length", selection, cfg, lengths))
-    for k, row in zip(lengths, report.rows):
-        if row.status == "skipped":
+    expected = []
+    for k in lengths:
+        if k > m.n_years:
+            note = f"window exceeds {m.n_years}-year series"
+            expected.append(("skipped", (None, None, None, None), note))
             continue
-        window = m.suffix(k)
+        window = m.window(m.n_years - k, m.n_years)
         window_labels = label_critical(window, labels.threshold)
-        assert row_counts(row) == counts(
-            reference_backtest(window, window_labels, selection, cfg)
-        )
+        expected.append(expected_row(window, window_labels, selection, cfg))
+    assert_rows(report, expected)
 
 
 @st.composite

@@ -4,6 +4,7 @@ import pytest
 
 from factorcast import (
     BacktestConfig,
+    CriticalLabels,
     CriticalThreshold,
     FactorSelection,
     PlantSpec,
@@ -293,6 +294,48 @@ class TestRowLengthSweep:
         )
         trailing, full = report.rows
         assert trailing.p > full.p
+
+
+class TestSlicedSweeps:
+    """Threshold, lag and row-length sweeps score slices of the one input matrix."""
+
+    @pytest.fixture
+    def constructed(self, monkeypatch):
+        calls = []
+        for cls in (TemporalMatrix, CriticalLabels):
+
+            def spy(self, init=cls.__post_init__):
+                calls.append(type(self).__name__)
+                init(self)
+
+            monkeypatch.setattr(cls, "__post_init__", spy)
+        return calls
+
+    @pytest.mark.parametrize("mode", ["rolling", "leave_one_out", "in_sample"])
+    def test_sweeps_construct_no_matrix_and_no_labels(self, constructed, mode):
+        cfg = BacktestConfig(
+            rule=QuorumRule(0.5),
+            threshold=THRESHOLD,
+            min_train_years=3,
+            eval_mode=mode,
+            widen_eps=0.5,
+        )
+        threshold_sensitivity(THREE_FACTOR, spec_for("threshold", (2.0, 8.0, 99.0), cfg))
+        lag_sweep(THREE_FACTOR, LABELS, spec_for("lag", (0, 1, 3), cfg))
+        row_length_sweep(THREE_FACTOR, LABELS, spec_for("row_length", (3, 4, 6, 7), cfg))
+        assert constructed == []
+        THREE_FACTOR.window(0, 3)
+        label_critical(THREE_FACTOR, THRESHOLD)
+        assert constructed == ["TemporalMatrix", "CriticalLabels"]
+
+    # A row-length grid whose every point is skipped still checks the labels.
+    @pytest.mark.parametrize(
+        "sweep,axis,grid", [(lag_sweep, "lag", (0,)), (row_length_sweep, "row_length", (40,))]
+    )
+    def test_labels_threshold_must_match_config(self, sweep, axis, grid):
+        labels = label_critical(THREE_FACTOR, CriticalThreshold(9.0))
+        with pytest.raises(ValueError, match="labels threshold differs"):
+            sweep(THREE_FACTOR, labels, spec_for(axis, grid))
 
 
 class TestDeterminism:
