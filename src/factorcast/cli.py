@@ -20,7 +20,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .backtest import BacktestConfig, rolling_backtest, select_threshold
+from .backtest import EVAL_MODES, BacktestConfig, rolling_backtest, select_threshold
 from .errors import FactorcastError, InsufficientCriticalYears, MatrixError
 from .matrix import (
     CriticalThreshold,
@@ -166,11 +166,7 @@ def build_parser() -> argparse.ArgumentParser:
     backtest = commands.add_parser("backtest", help="replay recognition over the series")
     _add_common_flags(backtest, min_critical_floor=2)
     _add_threshold_flags(backtest, required=True)
-    backtest.add_argument(
-        "--mode",
-        choices=("rolling", "leave_one_out", "in_sample"),
-        default="rolling",
-    )
+    backtest.add_argument("--mode", choices=EVAL_MODES, default="rolling")
     backtest.add_argument(
         "--min-train-years",
         type=_positive_int(3),
@@ -191,11 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
             " '+'-joined subsets such as a,a+b"
         ),
     )
-    sweep.add_argument(
-        "--mode",
-        choices=("rolling", "leave_one_out", "in_sample"),
-        default="in_sample",
-    )
+    sweep.add_argument("--mode", choices=EVAL_MODES, default="in_sample")
     sweep.add_argument("--min-train-years", type=_positive_int(3), default=5)
     sweep.set_defaults(func=cmd_sweep)
 
@@ -442,7 +434,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command == "sweep":
         args.grid_values = _parse_grid(args, parser.error)
-        if args.axis != "threshold" and args.threshold is None and not args.select_threshold:
+        has_threshold = args.threshold is not None or args.select_threshold
+        if args.axis == "threshold" and has_threshold:
+            parser.error(
+                "--threshold and --select-threshold cannot be combined with --axis threshold,"
+                " whose grid supplies each threshold"
+            )
+        if args.axis != "threshold" and not has_threshold:
             parser.error("one of --threshold or --select-threshold is required for this axis")
         if args.axis == "lag" and args.lag:
             parser.error("--lag cannot be combined with --axis lag, which applies each lag itself")

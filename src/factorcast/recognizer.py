@@ -63,23 +63,6 @@ class FactorInterval:
     def contains(self, value: float) -> bool:
         return self.lo - self.widen_eps <= value <= self.hi + self.widen_eps
 
-    def to_dict(self) -> dict:
-        return {
-            "factor": self.factor,
-            "lo": self.lo,
-            "hi": self.hi,
-            "widen_eps": self.widen_eps,
-        }
-
-    @classmethod
-    def from_dict(cls, doc: Mapping) -> "FactorInterval":
-        return cls(
-            factor=str(doc["factor"]),
-            lo=float(doc["lo"]),
-            hi=float(doc["hi"]),
-            widen_eps=float(doc.get("widen_eps", 0.0)),
-        )
-
 
 @dataclass(frozen=True)
 class IntervalProfile:
@@ -107,19 +90,6 @@ class IntervalProfile:
     @property
     def n_factors(self) -> int:
         return len(self.intervals)
-
-    def to_dict(self) -> dict:
-        return {
-            "n_critical_train": self.n_critical_train,
-            "intervals": [interval.to_dict() for interval in self.intervals],
-        }
-
-    @classmethod
-    def from_dict(cls, doc: Mapping) -> "IntervalProfile":
-        return cls(
-            intervals=tuple(FactorInterval.from_dict(d) for d in doc["intervals"]),
-            n_critical_train=int(doc["n_critical_train"]),
-        )
 
 
 @dataclass(frozen=True)

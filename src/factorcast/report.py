@@ -25,7 +25,7 @@ from typing import Mapping, Sequence
 from .backtest import BacktestResult, Verdict
 from .errors import ProfileError
 from .matrix import CriticalLabels, TemporalMatrix, format_number
-from .recognizer import IntervalProfile, QuorumRule, RecognitionResult
+from .recognizer import FactorInterval, IntervalProfile, QuorumRule, RecognitionResult
 from .sweeps import SweepReport, SweepRow
 
 PROFILE_FORMAT = "factorcast-profile"
@@ -69,6 +69,18 @@ class ReportDocument:
     plot_label: str | None = None
 
 
+def _profile_body(profile: IntervalProfile) -> dict:
+    """The ``profile`` object of a fit report and a saved profile; its intervals are a table."""
+    return {
+        "n_critical_train": profile.n_critical_train,
+        "intervals": ReportTable(
+            f"interval profile ({profile.n_critical_train} critical training years)",
+            ("factor", "lo", "hi", "widen_eps"),
+            tuple((iv.factor, iv.lo, iv.hi, iv.widen_eps) for iv in profile.intervals),
+        ),
+    }
+
+
 def fit_report(
     metadata: Mapping,
     m: TemporalMatrix,
@@ -78,11 +90,7 @@ def fit_report(
     result: RecognitionResult,
 ) -> ReportDocument:
     required = rule.required(profile.n_factors)
-    intervals = ReportTable(
-        f"interval profile ({profile.n_critical_train} critical training years)",
-        ("factor", "lo", "hi", "widen_eps"),
-        tuple((iv.factor, iv.lo, iv.hi, iv.widen_eps) for iv in profile.intervals),
-    )
+    body = _profile_body(profile)
     per_year = ReportTable(
         f"per-year recognition (quorum requires {required} of {profile.n_factors})",
         ("year", "incidence", "critical", "membership", "flagged"),
@@ -99,9 +107,9 @@ def fit_report(
     return ReportDocument(
         kind="fit",
         metadata=dict(metadata),
-        tables=(intervals, per_year),
+        tables=(body["intervals"], per_year),
         result={
-            "profile": {"n_critical_train": profile.n_critical_train, "intervals": intervals},
+            "profile": body,
             "quorum": rule.q,
             "required": required,
             "per_year": per_year,
@@ -333,12 +341,13 @@ def profile_to_json(profile: IntervalProfile, rule: QuorumRule) -> str:
         "format": PROFILE_FORMAT,
         "version": PROFILE_VERSION,
         "quorum": rule.q,
-        "profile": profile.to_dict(),
+        "profile": _profile_body(profile),
     }
-    return json_text(doc)
+    return json_text(_json_value(doc))
 
 
 def profile_from_json(text: str) -> tuple[IntervalProfile, QuorumRule]:
+    """Read back :func:`profile_to_json`'s document; an absent ``widen_eps`` reads as 0."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -350,7 +359,14 @@ def profile_from_json(text: str) -> tuple[IntervalProfile, QuorumRule]:
     if doc.get("version") != PROFILE_VERSION:
         raise ProfileError(f"unsupported profile version {doc.get('version')!r}")
     try:
-        profile = IntervalProfile.from_dict(doc["profile"])
+        body = doc["profile"]
+        intervals = tuple(
+            FactorInterval(
+                str(iv["factor"]), float(iv["lo"]), float(iv["hi"]), float(iv.get("widen_eps", 0.0))
+            )
+            for iv in body["intervals"]
+        )
+        profile = IntervalProfile(intervals, int(body["n_critical_train"]))
         rule = QuorumRule(float(doc["quorum"]))
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ProfileError(f"malformed profile document: {exc}") from None

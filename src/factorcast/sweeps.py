@@ -81,12 +81,12 @@ def _skipped_row(label: str, note: str) -> SweepRow:
 
 
 def _grid_point_row(
-    label: str, columns: list, incidence: tuple, value: float, cfg: BacktestConfig, skip: bool
+    label: str, columns: list, incidence: tuple, value: float, cfg: BacktestConfig
 ) -> SweepRow:
     """One kernel pass over aligned row slices; years at or above ``value`` train and are truth."""
     critical = [v >= value for v in incidence]
     n_critical = sum(critical)
-    if skip and n_critical < cfg.min_train_critical:
+    if n_critical < cfg.min_train_critical:
         note = f"{n_critical} critical years, {cfg.min_train_critical} required"
         return _skipped_row(label, note)
     start = cfg.min_train_years if cfg.eval_mode == "rolling" else 0
@@ -161,12 +161,16 @@ def threshold_sensitivity(m: TemporalMatrix, spec: SweepSpec) -> SweepReport:
     rows = []
     for value in spec.grid:
         value = CriticalThreshold(float(value), "selected").value
-        rows.append(_grid_point_row(repr(value), columns, m.incidence, value, spec.config, True))
+        rows.append(_grid_point_row(repr(value), columns, m.incidence, value, spec.config))
     return SweepReport("threshold", tuple(rows))
 
 
 def lag_sweep(m: TemporalMatrix, labels: CriticalLabels, spec: SweepSpec) -> SweepReport:
-    """One row per lag L: each selected column's first n - L rows against the last n - L years."""
+    """One row per lag L: each selected column's first n - L rows against the last n - L years.
+
+    Lags that leave fewer than ``min_train_critical`` critical years are
+    reported as skipped rows.
+    """
     columns = [m.factor_values(name) for name in spec.selection.names]
     value = threshold_value(labels, spec.config)
     n = m.n_years
@@ -174,7 +178,7 @@ def lag_sweep(m: TemporalMatrix, labels: CriticalLabels, spec: SweepSpec) -> Swe
     for lag in map(int, spec.grid):
         check_lag(lag, n)
         lagged = [col[: n - lag] for col in columns]
-        rows.append(_grid_point_row(str(lag), lagged, m.incidence[lag:], value, spec.config, False))
+        rows.append(_grid_point_row(str(lag), lagged, m.incidence[lag:], value, spec.config))
     return SweepReport("lag", tuple(rows))
 
 
@@ -198,7 +202,7 @@ def row_length_sweep(
             rows.append(_skipped_row(str(k), f"window exceeds {n}-year series"))
             continue
         window = [col[n - k :] for col in columns]
-        rows.append(_grid_point_row(str(k), window, m.incidence[n - k :], value, spec.config, True))
+        rows.append(_grid_point_row(str(k), window, m.incidence[n - k :], value, spec.config))
     return SweepReport("row_length", tuple(rows))
 
 

@@ -120,10 +120,6 @@ class GroundTruth:
     intervals: tuple[FactorInterval, ...]
     lag_shift: int
 
-    @property
-    def critical_years(self) -> tuple[int, ...]:
-        return tuple(y for y, c in zip(self.years, self.is_critical) if c)
-
     def to_csv(self) -> str:
         lines = ["year,is_critical"]
         lines.extend(

@@ -12,14 +12,8 @@ import random
 import shutil
 from pathlib import Path
 
-from factorcast import (
-    CriticalLabels,
-    CriticalThreshold,
-    FactorSelection,
-    QuorumRule,
-    TemporalMatrix,
-    label_critical,
-)
+from factorcast import CriticalThreshold, FactorSelection, QuorumRule, label_critical
+from factorcast.matrix import CriticalLabels, TemporalMatrix
 
 FIXTURES = Path(__file__).parent / "fixtures"
 GOLDEN = Path(__file__).parent / "golden"

@@ -13,21 +13,17 @@ from factorcast import (
     BacktestConfig,
     CriticalThreshold,
     FactorSelection,
-    PlantSpec,
     QuorumRule,
-    TemporalMatrix,
     build_profile,
     evaluate_insample,
-    generate,
     label_critical,
-    lag_sweep,
-    oracle_evaluate,
     parse_matrix,
     rolling_backtest,
-    subset_sweep,
 )
 from factorcast.cli import main
-from factorcast.sweeps import SweepSpec
+from factorcast.matrix import TemporalMatrix
+from factorcast.sweeps import SweepSpec, lag_sweep, subset_sweep
+from factorcast.synth import PlantSpec, generate, oracle_evaluate
 
 from _support import (
     FIXTURES,

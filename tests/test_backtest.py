@@ -11,17 +11,16 @@ from factorcast import (
     BacktestConfig,
     CriticalThreshold,
     FactorSelection,
-    PlantSpec,
     QuorumRule,
-    TemporalMatrix,
     build_profile,
     evaluate_insample,
-    generate,
     label_critical,
     rolling_backtest,
     select_threshold,
 )
 from factorcast.errors import InsufficientYears, LabelMismatch
+from factorcast.matrix import TemporalMatrix
+from factorcast.synth import PlantSpec, generate
 
 from _reference_backtest import forecast_next
 from _reference_backtest import select_threshold as reference_select_threshold

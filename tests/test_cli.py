@@ -11,6 +11,7 @@ import contextlib
 import io
 import json
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -49,6 +50,22 @@ class TestGolden:
         if REGEN:
             golden_path.write_bytes(first)
         assert first == golden_path.read_bytes()
+
+    @pytest.mark.parametrize("name,argv_for", GOLDEN_CASES, ids=[c[0] for c in GOLDEN_CASES])
+    def test_fresh_process_matches_golden(self, workdir, name, argv_for):
+        """A fresh process, which builds the parser for the first time, prints the golden.
+
+        Runs ``python -m factorcast``, and the ``factorcast`` script when one is on PATH.
+        """
+        paths = (str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH"))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+        script = shutil.which("factorcast")
+        commands = [[sys.executable, "-m", "factorcast"], *([[script]] if script else [])]
+        for command in commands:
+            done = subprocess.run(
+                [*command, *argv_for(workdir)], capture_output=True, env=env, check=True
+            )
+            assert done.stdout == (GOLDEN / name).read_bytes(), command
 
     def test_profile_document_matches_golden(self, workdir):
         produced = (workdir / "profile.json").read_bytes()
@@ -216,22 +233,6 @@ class TestParserReuse:
         assert len(widths["40"]) == 1 and len(widths["200"]) == 1
         assert max(widths["40"]) < 80 < max(widths["200"]) <= 200
 
-    def test_python_dash_m_matches_golden(self):
-        # A fresh process builds the parser for the first time.
-        paths = (str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH"))
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
-        argv = [
-            "fit",
-            "--input", str(FIXTURES / "worked_example.csv"),
-            "--threshold", "8",
-            "--quorum", "1.0",
-            "--format", "text",
-        ]
-        done = subprocess.run(
-            [sys.executable, "-m", "factorcast", *argv], capture_output=True, env=env, check=True
-        )
-        assert done.stdout == (GOLDEN / "fit.txt").read_bytes()
-
 
 class TestExitCodes:
     def test_usage_error_is_one(self, capsys):
@@ -333,6 +334,16 @@ class TestBadInput:
         assert err.value.code == 1
         assert "--lag cannot be combined with --axis lag" in capsys.readouterr().err
         assert main([*base, "--lag", "0"]) == 0
+
+    @pytest.mark.parametrize("flag", [["--threshold", "99"], ["--select-threshold"]])
+    def test_sweep_threshold_axis_rejects_threshold_flags(self, workdir, capsys, flag):
+        base = ["sweep", *we_args(workdir, "--axis", "threshold", "--grid", "5,10")]
+        with pytest.raises(SystemExit) as err:
+            main([*base, *flag])
+        assert err.value.code == 1
+        err = capsys.readouterr().err
+        assert "--threshold and --select-threshold cannot be combined with --axis threshold" in err
+        assert main(base) == 0
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_non_finite_widen_eps_is_usage_error(self, workdir, capsys, value):

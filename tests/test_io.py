@@ -14,9 +14,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from factorcast import TemporalMatrix, parse_matrix
+from factorcast import parse_matrix
 from factorcast.errors import DuplicateYear, FactorcastError, MissingCell, NonNumericCell
-from factorcast.matrix import read_columns
+from factorcast.matrix import TemporalMatrix, read_columns
 
 import _reference_io as ref
 

@@ -16,22 +16,23 @@ from hypothesis import strategies as st
 
 from factorcast import (
     BacktestConfig,
-    CriticalLabels,
     CriticalThreshold,
     FactorSelection,
     QuorumRule,
-    TemporalMatrix,
     label_critical,
+    rolling_backtest,
+)
+from factorcast.backtest import EVAL_MODES
+from factorcast.matrix import CriticalLabels, TemporalMatrix
+from factorcast.recognizer import FactorInterval, IntervalProfile, membership_masks
+from factorcast.sweeps import (
+    SweepSpec,
     lag_sweep,
     quorum_sweep,
-    rolling_backtest,
     row_length_sweep,
     subset_sweep,
     threshold_sensitivity,
 )
-from factorcast.backtest import EVAL_MODES
-from factorcast.recognizer import FactorInterval, IntervalProfile, membership_masks
-from factorcast.sweeps import SweepSpec
 
 from _reference_backtest import reference_backtest
 from _reference_kernel import membership_masks as reference_masks
@@ -152,9 +153,9 @@ def test_quorum_sweep_rows_match_one_reference_backtest_each(data):
         assert row_counts(row) == counts(expected)
 
 
-def expected_row(m, labels, selection, cfg, skip_few_critical=True):
+def expected_row(m, labels, selection, cfg):
     """Status, counts and note of one data-changing grid point, from the reference."""
-    if skip_few_critical and labels.n_critical < cfg.min_train_critical:
+    if labels.n_critical < cfg.min_train_critical:
         note = f"{labels.n_critical} critical years, {cfg.min_train_critical} required"
         return "skipped", (None, None, None, None), note
     return "ok", counts(reference_backtest(m, labels, selection, cfg)), ""
@@ -194,7 +195,7 @@ def test_data_changing_sweeps_match_reference(data):
             },
         )
         lagged_labels = label_critical(lagged, labels.threshold)
-        expected.append(expected_row(lagged, lagged_labels, selection, cfg, False))
+        expected.append(expected_row(lagged, lagged_labels, selection, cfg))
     assert_rows(report, expected)
 
     lengths = tuple(range(cfg.min_train_years, m.n_years + 2))

@@ -6,14 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from factorcast import (
-    CriticalThreshold,
-    FactorSelection,
-    TemporalMatrix,
-    apply_uniform_lag,
-    label_critical,
-    parse_matrix,
-)
+from factorcast import CriticalThreshold, FactorSelection, label_critical, parse_matrix
 from factorcast.errors import (
     DuplicateYear,
     EmptySelection,
@@ -25,6 +18,7 @@ from factorcast.errors import (
     TooFewRows,
     UnknownFactor,
 )
+from factorcast.matrix import TemporalMatrix, apply_uniform_lag
 
 from _support import random_matrix
 

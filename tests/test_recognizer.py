@@ -8,22 +8,19 @@ from hypothesis import strategies as st
 
 from factorcast import (
     CriticalThreshold,
-    FactorInterval,
     FactorSelection,
-    IntervalProfile,
     QuorumRule,
-    TemporalMatrix,
     build_profile,
     evaluate_insample,
     label_critical,
-    membership_count,
-    precision,
 )
 from factorcast.errors import (
     InvalidQuorum,
     MissingFactorValue,
     NoCriticalYears,
 )
+from factorcast.matrix import TemporalMatrix
+from factorcast.recognizer import FactorInterval, IntervalProfile, membership_count, precision
 from factorcast.synth import oracle_evaluate
 
 from _reference_backtest import row_factors

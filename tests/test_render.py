@@ -13,26 +13,20 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from factorcast import (
-    BacktestConfig,
-    build_profile,
-    emit_report,
-    evaluate_insample,
-    profile_to_json,
-    rolling_backtest,
-    run_sweep,
-)
+from factorcast import BacktestConfig, build_profile, evaluate_insample, rolling_backtest
 from factorcast.recognizer import membership_masks
 from factorcast.report import (
     ReportDocument,
     ReportTable,
     backtest_report,
     classify_report,
+    emit_report,
     fit_report,
     json_text,
+    profile_to_json,
     sweep_report_document,
 )
-from factorcast.sweeps import SweepSpec
+from factorcast.sweeps import SweepSpec, run_sweep
 
 import _reference_report as ref
 from _support import random_instance
@@ -178,7 +172,13 @@ class TestReports:
             "format": "factorcast-profile",
             "version": 1,
             "quorum": rule.q,
-            "profile": profile.to_dict(),
+            "profile": {
+                "n_critical_train": profile.n_critical_train,
+                "intervals": [
+                    {"factor": iv.factor, "lo": iv.lo, "hi": iv.hi, "widen_eps": iv.widen_eps}
+                    for iv in profile.intervals
+                ],
+            },
         }
         assert profile_to_json(profile, rule) == reference_json(doc)
 

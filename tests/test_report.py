@@ -9,22 +9,25 @@ from factorcast import (
     CriticalThreshold,
     FactorSelection,
     QuorumRule,
-    TemporalMatrix,
     build_profile,
-    emit_report,
     evaluate_insample,
     label_critical,
-    profile_from_json,
-    profile_to_json,
     rolling_backtest,
-    sweep_report_document,
-    threshold_sensitivity,
 )
 from factorcast import report as report_module
 from factorcast.backtest import Verdict
 from factorcast.errors import ProfileError
-from factorcast.report import backtest_report, classify_report, fit_report
-from factorcast.sweeps import SweepReport, SweepRow, SweepSpec
+from factorcast.matrix import TemporalMatrix
+from factorcast.report import (
+    backtest_report,
+    classify_report,
+    emit_report,
+    fit_report,
+    profile_from_json,
+    profile_to_json,
+    sweep_report_document,
+)
+from factorcast.sweeps import SweepReport, SweepRow, SweepSpec, threshold_sensitivity
 
 
 def fixture():
@@ -195,6 +198,15 @@ class TestProfilePersistence:
         loaded_profile, loaded_rule = profile_from_json(text)
         assert loaded_profile == profile
         assert loaded_rule == rule
+
+    def test_missing_widen_eps_reads_as_zero(self):
+        m, labels = fixture()
+        profile = build_profile(m, labels, FactorSelection(("f",)))
+        doc = json.loads(profile_to_json(profile, QuorumRule(0.75)))
+        del doc["profile"]["intervals"][0]["widen_eps"]
+        loaded_profile, _ = profile_from_json(json.dumps(doc))
+        assert loaded_profile == profile
+        assert loaded_profile.intervals[0].widen_eps == 0.0
 
     def test_rejects_garbage(self):
         with pytest.raises(ProfileError):

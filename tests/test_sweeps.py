@@ -4,21 +4,11 @@ import pytest
 
 from factorcast import (
     BacktestConfig,
-    CriticalLabels,
     CriticalThreshold,
     FactorSelection,
-    PlantSpec,
     QuorumRule,
-    TemporalMatrix,
-    enumerate_subsets,
-    generate,
     label_critical,
-    lag_sweep,
-    quorum_sweep,
     rolling_backtest,
-    row_length_sweep,
-    subset_sweep,
-    threshold_sensitivity,
 )
 from factorcast.errors import (
     InvalidQuorum,
@@ -26,7 +16,17 @@ from factorcast.errors import (
     TooManyFactors,
     WindowTooShort,
 )
-from factorcast.sweeps import SweepSpec
+from factorcast.matrix import CriticalLabels, TemporalMatrix
+from factorcast.sweeps import (
+    SweepSpec,
+    enumerate_subsets,
+    lag_sweep,
+    quorum_sweep,
+    row_length_sweep,
+    subset_sweep,
+    threshold_sensitivity,
+)
+from factorcast.synth import PlantSpec, generate
 
 
 def make_matrix(incidence, **columns):
@@ -231,6 +231,13 @@ class TestLagSweep:
         unlagged, lagged = report.rows
         assert lagged.p > unlagged.p
         assert lagged.p == 1.0
+
+    def test_lag_with_too_few_criticals_is_skipped(self):
+        # Lag 3 leaves the incidence's last 3 years, which hold one critical year.
+        report = lag_sweep(THREE_FACTOR, LABELS, spec_for("lag", grid=(2, 3)))
+        assert report.rows[0].status == "ok"
+        note = "1 critical years, 2 required"
+        assert report.rows[1] == ("3", "skipped", None, None, None, None, note)
 
     def test_lag_too_large(self):
         with pytest.raises(LagTooLarge):

@@ -9,16 +9,13 @@ from hypothesis import strategies as st
 from factorcast import (
     CriticalThreshold,
     FactorSelection,
-    PlantSpec,
     QuorumRule,
     build_profile,
     evaluate_insample,
-    generate,
     label_critical,
-    oracle_evaluate,
 )
 from factorcast.errors import InvalidSpec, NoCriticalYears
-from factorcast.synth import AMBIENT_HI, AMBIENT_LO, MAX_CELLS
+from factorcast.synth import AMBIENT_HI, AMBIENT_LO, MAX_CELLS, PlantSpec, generate, oracle_evaluate
 
 import _reference_synth as ref
 from _support import random_instance
@@ -197,7 +194,7 @@ class TestSpecValidation:
 
 class TestOracle:
     def test_worked_example(self):
-        from factorcast import TemporalMatrix
+        from factorcast.matrix import TemporalMatrix
 
         m = TemporalMatrix(
             tuple(range(2001, 2007)),
