@@ -25,7 +25,6 @@ from .errors import FactorcastError, InsufficientCriticalYears, MatrixError
 from .matrix import (
     CriticalThreshold,
     FactorSelection,
-    TemporalMatrix,
     apply_uniform_lag,
     label_critical,
     parse_matrix,
@@ -154,7 +153,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_flags(fit, min_critical_floor=1)
     _add_threshold_flags(fit, required=True)
     fit.add_argument("--save-profile", help="persist the profile as JSON for classify")
-    fit.set_defaults(func=cmd_fit)
+    fit.set_defaults(func=cmd_fit, usage_error=fit.error)
 
     classify = commands.add_parser("classify", help="apply a saved profile to new factor rows")
     classify.add_argument("--input", required=True, help="CSV of year plus factor columns")
@@ -189,7 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sweep.add_argument("--mode", choices=EVAL_MODES, default="in_sample")
     sweep.add_argument("--min-train-years", type=_positive_int(3), default=5)
-    sweep.set_defaults(func=cmd_sweep)
+    sweep.set_defaults(func=cmd_sweep, usage_error=sweep.error)
 
     synth = commands.add_parser("synth", help="write a synthetic dataset and its ground truth")
     synth.add_argument("--output", required=True, help="dataset CSV path")
@@ -212,8 +211,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read_input(path: str, parse=None) -> tuple[str, object]:
-    """SHA-256 digest of an input file, and its UTF-8 text read by ``parse`` or ``parse_matrix``."""
+def _read_input(path: str) -> tuple[str, str]:
+    """SHA-256 digest of an input file, and its UTF-8 text."""
     try:
         raw = Path(path).read_bytes()
     except OSError as exc:
@@ -222,12 +221,13 @@ def _read_input(path: str, parse=None) -> tuple[str, object]:
         text = raw.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise MatrixError(f"input {path!r} is not UTF-8: {exc}") from None
-    return hashlib.sha256(raw).hexdigest(), parse_matrix(text) if parse is None else parse(text)
+    return hashlib.sha256(raw).hexdigest(), text
 
 
-def _read_selected(args) -> tuple[str, TemporalMatrix, FactorSelection]:
-    """``--input``'s digest and matrix, with ``--lag`` applied to the ``--factors`` selection."""
-    digest, m = _read_input(args.input)
+def _setup(args, fixed_threshold: float | None = None):
+    """Metadata, lagged ``--input`` matrix, selection, threshold (fixed if given) and labels."""
+    digest, text = _read_input(args.input)
+    m = parse_matrix(text)
     if args.factors:
         selection = FactorSelection(tuple(name.strip() for name in args.factors.split(",")))
         selection.validate_against(m)
@@ -235,13 +235,20 @@ def _read_selected(args) -> tuple[str, TemporalMatrix, FactorSelection]:
         selection = FactorSelection.all_of(m)
     if args.lag:
         m = apply_uniform_lag(m, selection.names, args.lag)
-    return digest, m, selection
-
-
-def _resolve_threshold(args, m: TemporalMatrix) -> CriticalThreshold:
-    if args.select_threshold:
-        return select_threshold(m, args.min_critical)
-    return CriticalThreshold(args.threshold, "expert")
+    if fixed_threshold is not None:
+        threshold = CriticalThreshold(fixed_threshold, "selected")
+    elif args.select_threshold:
+        threshold = select_threshold(m, args.min_critical)
+    else:
+        threshold = CriticalThreshold(args.threshold, "expert")
+    metadata = {
+        "tool": "factorcast",
+        "version": __version__,
+        "command": args.command,
+        "input": os.path.basename(args.input),
+        "input_sha256": digest,
+    }
+    return metadata, m, selection, threshold, label_critical(m, threshold)
 
 
 def _backtest_config(args, threshold: CriticalThreshold) -> BacktestConfig:
@@ -255,16 +262,6 @@ def _backtest_config(args, threshold: CriticalThreshold) -> BacktestConfig:
     )
 
 
-def _base_metadata(args, command: str, digest: str) -> dict:
-    return {
-        "tool": "factorcast",
-        "version": __version__,
-        "command": command,
-        "input": os.path.basename(args.input),
-        "input_sha256": digest,
-    }
-
-
 def _write_output(text: str, path: str | None) -> None:
     if path is None:
         sys.stdout.write(text)
@@ -273,16 +270,14 @@ def _write_output(text: str, path: str | None) -> None:
 
 
 def cmd_fit(args) -> int:
-    digest, m, selection = _read_selected(args)
-    threshold = _resolve_threshold(args, m)
-    labels = label_critical(m, threshold)
+    if args.select_threshold and args.min_critical < 2:
+        args.usage_error("--select-threshold requires --min-critical of at least 2")
+    metadata, m, selection, threshold, labels = _setup(args)
     if labels.n_critical < args.min_critical:
         raise InsufficientCriticalYears(labels.n_critical, args.min_critical)
     rule = QuorumRule(args.quorum)
     profile = build_profile(m, labels, selection, args.widen_eps)
     result = evaluate_insample(m, labels, profile, rule)
-
-    metadata = _base_metadata(args, "fit", digest)
     metadata.update(
         threshold=threshold.value,
         threshold_source=threshold.source,
@@ -295,9 +290,7 @@ def cmd_fit(args) -> int:
     doc = fit_report(metadata, m, labels, profile, rule, result)
     _write_output(emit_report(doc, args.format), args.output)
     if args.save_profile:
-        Path(args.save_profile).write_text(
-            profile_to_json(profile, rule), encoding="utf-8", newline=""
-        )
+        _write_output(profile_to_json(profile, rule), args.save_profile)
     return 0
 
 
@@ -308,31 +301,29 @@ def cmd_classify(args) -> int:
         raise MatrixError(f"cannot read profile {args.profile!r}: {exc}") from None
     profile, rule = profile_from_json(profile_text)
 
-    digest, (_, years, columns) = _read_input(
-        args.input,
-        lambda text: read_columns(text, ("year",), profile.factor_names, distinct_years=True),
-    )
+    digest, text = _read_input(args.input)
+    _, years, columns = read_columns(text, ("year",), profile.factor_names, distinct_years=True)
     masks = membership_masks(columns, profile=profile)
     scored = tuple((year, mask.bit_count()) for year, mask in zip(years, masks))
-    metadata = _base_metadata(args, "classify", digest)
-    metadata.update(
-        profile=os.path.basename(args.profile),
-        quorum=rule.q,
-        factors=",".join(profile.factor_names),
-    )
+    metadata = {
+        "tool": "factorcast",
+        "version": __version__,
+        "command": "classify",
+        "input": os.path.basename(args.input),
+        "input_sha256": digest,
+        "profile": os.path.basename(args.profile),
+        "quorum": rule.q,
+        "factors": ",".join(profile.factor_names),
+    }
     doc = classify_report(metadata, profile, rule, scored)
     _write_output(emit_report(doc, args.format), args.output)
     return 0
 
 
 def cmd_backtest(args) -> int:
-    digest, m, selection = _read_selected(args)
-    threshold = _resolve_threshold(args, m)
-    labels = label_critical(m, threshold)
+    metadata, m, selection, threshold, labels = _setup(args)
     cfg = _backtest_config(args, threshold)
     result = rolling_backtest(m, labels, selection, cfg)
-
-    metadata = _base_metadata(args, "backtest", digest)
     metadata.update(
         threshold=threshold.value,
         threshold_source=threshold.source,
@@ -349,41 +340,44 @@ def cmd_backtest(args) -> int:
     return 0
 
 
-def _parse_grid(args, parser_error) -> tuple | None:
+def _parse_grid(args) -> tuple | None:
     raw = args.grid.strip()
     if args.axis == "factor_subset":
         if raw == "all":
             return None
-        return tuple(tuple(part.split("+")) for part in raw.split(","))
+        return tuple(tuple(n.strip() for n in part.split("+")) for part in raw.split(","))
     values = [part.strip() for part in raw.split(",") if part.strip()]
     if not values:
-        parser_error("empty --grid")
+        args.usage_error("empty --grid")
     convert = {"lag": int, "row_length": int, "quorum": _fraction}.get(args.axis, float)
     try:
         grid = tuple(convert(v) for v in values)
     except ValueError:
-        parser_error(f"invalid --grid value in {raw!r}")
+        args.usage_error(f"invalid --grid value in {raw!r}")
     if args.axis == "lag" and min(grid) < 0:
-        parser_error(f"lags must be non-negative, got --grid {raw!r}")
+        args.usage_error(f"lags must be non-negative, got --grid {raw!r}")
     return grid
 
 
 def cmd_sweep(args) -> int:
-    digest, m, selection = _read_selected(args)
-    grid = args.grid_values
-    if args.axis == "threshold":
-        # The axis varies the threshold itself; the config echoes grid[0].
-        threshold = CriticalThreshold(float(grid[0]), "selected")
-        labels = None
-    else:
-        threshold = _resolve_threshold(args, m)
-        labels = label_critical(m, threshold)
+    grid = _parse_grid(args)
+    has_threshold = args.threshold is not None or args.select_threshold
+    if args.axis == "threshold" and has_threshold:
+        args.usage_error(
+            "--threshold and --select-threshold cannot be combined with --axis threshold,"
+            " whose grid supplies each threshold"
+        )
+    if args.axis != "threshold" and not has_threshold:
+        args.usage_error("one of --threshold or --select-threshold is required for this axis")
+    if args.axis == "lag" and args.lag:
+        args.usage_error("--lag cannot be combined with --axis lag, which applies each lag itself")
 
+    # The threshold axis varies the threshold itself; the config echoes grid[0].
+    fixed = grid[0] if args.axis == "threshold" else None
+    metadata, m, selection, threshold, labels = _setup(args, fixed)
     cfg = _backtest_config(args, threshold)
     spec = SweepSpec(axis=args.axis, selection=selection, config=cfg, grid=grid)
     report = run_sweep(m, labels, spec)
-
-    metadata = _base_metadata(args, "sweep", digest)
     metadata.update(
         axis=args.axis,
         grid=args.grid,
@@ -393,7 +387,7 @@ def cmd_sweep(args) -> int:
         mode=args.mode,
         min_critical=args.min_critical,
     )
-    if args.axis != "threshold":
+    if fixed is None:
         metadata.update(threshold=threshold.value, threshold_source=threshold.source)
     doc = sweep_report_document(metadata, report)
     _write_output(emit_report(doc, args.format), args.output)
@@ -430,28 +424,10 @@ def cmd_synth(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "sweep":
-        args.grid_values = _parse_grid(args, parser.error)
-        has_threshold = args.threshold is not None or args.select_threshold
-        if args.axis == "threshold" and has_threshold:
-            parser.error(
-                "--threshold and --select-threshold cannot be combined with --axis threshold,"
-                " whose grid supplies each threshold"
-            )
-        if args.axis != "threshold" and not has_threshold:
-            parser.error("one of --threshold or --select-threshold is required for this axis")
-        if args.axis == "lag" and args.lag:
-            parser.error("--lag cannot be combined with --axis lag, which applies each lag itself")
-    if args.command == "fit" and args.select_threshold and args.min_critical < 2:
-        parser.error("--select-threshold requires --min-critical of at least 2")
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except FactorcastError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (FactorcastError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -37,7 +37,7 @@ class MissingCell(MatrixError):
 
 
 class TooFewRows(MatrixError):
-    def __init__(self, n_rows: int, minimum: int = 3):
+    def __init__(self, n_rows: int, minimum: int):
         self.n_rows = n_rows
         super().__init__(f"matrix has {n_rows} year rows, at least {minimum} required")
 
@@ -118,7 +118,7 @@ class InsufficientCriticalYears(FactorcastError):
 
 
 class TooManyFactors(FactorcastError):
-    def __init__(self, n_factors: int, maximum: int = 16):
+    def __init__(self, n_factors: int, maximum: int):
         self.n_factors = n_factors
         super().__init__(
             f"subset enumeration over {n_factors} factors exceeds the {maximum}-factor bound"

@@ -60,9 +60,6 @@ class FactorInterval:
         if self.widen_eps < 0:
             raise ValueError("widen_eps must be non-negative")
 
-    def contains(self, value: float) -> bool:
-        return self.lo - self.widen_eps <= value <= self.hi + self.widen_eps
-
 
 @dataclass(frozen=True)
 class IntervalProfile:

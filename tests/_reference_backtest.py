@@ -57,7 +57,7 @@ def membership_count(year_factors: Mapping[str, float], profile: IntervalProfile
             value = year_factors[interval.factor]
         except KeyError:
             raise MissingFactorValue(interval.factor) from None
-        if interval.contains(value):
+        if interval.lo - interval.widen_eps <= value <= interval.hi + interval.widen_eps:
             count += 1
     return count
 

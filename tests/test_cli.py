@@ -131,6 +131,16 @@ class TestBehavior:
         assert main([*argv, "--grid", "50%,150%"]) == 2
         assert capsys.readouterr().err == "error: quorum must be a fraction in (0, 1], got 1.5\n"
 
+    def test_factor_subset_grid_names_are_stripped(self, workdir, capsys):
+        base = ["sweep", *we_args(workdir, "--threshold", "8", "--axis", "factor_subset")]
+        assert main([*base, "--grid", "may_temp , may_temp"]) == 0
+        spaced = capsys.readouterr().out
+        assert main([*base, "--grid", "may_temp,may_temp"]) == 0
+        unspaced = capsys.readouterr().out
+        # The metadata echoes --grid as typed; every other byte is the same.
+        spaced = spaced.replace("grid: may_temp , may_temp\n", "grid: may_temp,may_temp\n", 1)
+        assert spaced == unspaced
+
     def test_classify_round_trip(self, workdir, capsys):
         code = main(
             [
@@ -357,8 +367,36 @@ class TestBadInput:
             main(["sweep", *we_args(workdir, "--threshold", "8", "--axis", "lag", "--grid", grid)])
         assert err.value.code == 1
         err = capsys.readouterr().err
-        assert f"factorcast: error: lags must be non-negative, got --grid '{grid}'\n" in err
+        expected = f"factorcast sweep: error: lags must be non-negative, got --grid '{grid}'\n"
+        assert err.splitlines(keepends=True)[-1] == expected
         assert "Traceback" not in err
+
+    # Cross-flag checks run in their subcommand: its usage line, exit 1, no input read.
+    CROSS_FLAG_CASES = {
+        "threshold_axis_with_threshold": [
+            "sweep", "--axis", "threshold", "--grid", "5,10", "--threshold", "8"
+        ],
+        "threshold_axis_with_select_threshold": [
+            "sweep", "--axis", "threshold", "--grid", "5,10", "--select-threshold"
+        ],
+        "other_axis_without_threshold": ["sweep", "--axis", "quorum", "--grid", "0.5"],
+        "lag_axis_with_lag": [
+            "sweep", "--threshold", "8", "--axis", "lag", "--grid", "0,1", "--lag", "1"
+        ],
+        "empty_grid": ["sweep", "--threshold", "8", "--axis", "quorum", "--grid", ","],
+        "fit_select_threshold_min_critical_1": ["fit", "--select-threshold", "--min-critical", "1"],
+    }
+
+    @pytest.mark.parametrize("case", CROSS_FLAG_CASES)
+    def test_cross_flag_check_is_subcommand_usage_error(self, workdir, tmp_path, capsys, case):
+        command, *flags = self.CROSS_FLAG_CASES[case]
+        for path in (workdir / "worked_example.csv", tmp_path / "missing.csv"):
+            with pytest.raises(SystemExit) as err:
+                main([command, "--input", str(path), *flags])
+            assert err.value.code == 1, path
+            stderr = capsys.readouterr().err
+            assert stderr.startswith(f"usage: factorcast {command} ")
+            assert stderr.splitlines()[-1].startswith(f"factorcast {command}: error: ")
 
     # One cell over the csv module's default 131072-character field limit.
     HUGE_CELL = "1" * 131073

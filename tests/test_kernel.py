@@ -231,13 +231,14 @@ def profiles_and_columns(draw, n_min=0, n_max=12, f_max=16):
 
 
 def per_cell_masks(profile, columns):
-    """The profile path spelled out: one ``contains`` test per (row, factor) cell."""
+    """The profile path spelled out: one ``lo - eps <= v <= hi + eps`` test per cell."""
     n = len(columns[0])
     masks = []
     for i in range(n):
         mask = 0
         for j, interval in enumerate(profile.intervals):
-            if interval.contains(columns[j][i]):
+            eps = interval.widen_eps
+            if interval.lo - eps <= columns[j][i] <= interval.hi + eps:
                 mask += 2**j
         masks.append(mask)
     return masks

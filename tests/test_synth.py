@@ -53,7 +53,8 @@ class TestGenerate:
         by_name = {interval.factor: interval for interval in truth.intervals}
         for i, critical in enumerate(truth.is_critical):
             for name in m.factor_names:
-                inside = by_name[name].contains(m.columns[name][i])
+                lo, hi, eps = by_name[name].lo, by_name[name].hi, by_name[name].widen_eps
+                inside = lo - eps <= m.columns[name][i] <= hi + eps
                 assert inside == critical
 
     def test_noiseless_full_quorum_precision_is_one(self):
