@@ -12,11 +12,10 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from typing import Literal, NamedTuple, Sequence
 
 from .errors import InsufficientYears
-from .matrix import CriticalLabels, CriticalThreshold, FactorSelection, TemporalMatrix
+from .matrix import CriticalLabels, CriticalThreshold, FactorSelection, Frozen, TemporalMatrix
 from .recognizer import QuorumRule, check_labels, membership_masks, precision
 
 EvalMode = Literal["rolling", "leave_one_out", "in_sample"]
@@ -24,26 +23,41 @@ EvalMode = Literal["rolling", "leave_one_out", "in_sample"]
 EVAL_MODES = ("rolling", "leave_one_out", "in_sample")
 
 
-@dataclass(frozen=True)
-class BacktestConfig:
+class BacktestConfig(Frozen):
     """One fixed recognition configuration for a whole backtest."""
 
-    rule: QuorumRule
-    threshold: CriticalThreshold
-    min_train_years: int = 5
-    min_train_critical: int = 2
-    eval_mode: EvalMode = "rolling"
-    widen_eps: float = 0.0
+    __slots__ = (
+        "rule",
+        "threshold",
+        "min_train_years",
+        "min_train_critical",
+        "eval_mode",
+        "widen_eps",
+    )
 
-    def __post_init__(self):
-        if self.min_train_years < 3:
+    def __init__(
+        self,
+        rule: QuorumRule,
+        threshold: CriticalThreshold,
+        min_train_years: int = 5,
+        min_train_critical: int = 2,
+        eval_mode: EvalMode = "rolling",
+        widen_eps: float = 0.0,
+    ):
+        if min_train_years < 3:
             raise ValueError("min_train_years must be at least 3")
-        if self.min_train_critical < 2:
+        if min_train_critical < 2:
             raise ValueError("min_train_critical must be at least 2")
-        if self.eval_mode not in EVAL_MODES:
+        if eval_mode not in EVAL_MODES:
             raise ValueError(f"eval_mode must be one of {EVAL_MODES}")
-        if not 0 <= self.widen_eps < math.inf:
+        if not 0 <= widen_eps < math.inf:
             raise ValueError("widen_eps must be finite and non-negative")
+        object.__setattr__(self, "rule", rule)
+        object.__setattr__(self, "threshold", threshold)
+        object.__setattr__(self, "min_train_years", min_train_years)
+        object.__setattr__(self, "min_train_critical", min_train_critical)
+        object.__setattr__(self, "eval_mode", eval_mode)
+        object.__setattr__(self, "widen_eps", widen_eps)
 
 
 class Verdict(NamedTuple):
@@ -60,8 +74,7 @@ class Verdict(NamedTuple):
     truth: bool | None = None
 
 
-@dataclass(frozen=True)
-class BacktestResult:
+class BacktestResult(NamedTuple):
     """Per-year verdicts plus x / y / p over issued critical predictions."""
 
     verdicts: tuple[Verdict, ...]

@@ -345,7 +345,10 @@ def _parse_grid(args) -> tuple | None:
     if args.axis == "factor_subset":
         if raw == "all":
             return None
-        return tuple(tuple(n.strip() for n in part.split("+")) for part in raw.split(","))
+        grid = tuple(tuple(n.strip() for n in part.split("+")) for part in raw.split(","))
+        if not all(map(all, grid)):
+            args.usage_error(f"empty factor name in --grid {raw!r}")
+        return grid
     values = [part.strip() for part in raw.split(",") if part.strip()]
     if not values:
         args.usage_error("empty --grid")

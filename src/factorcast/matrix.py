@@ -17,7 +17,7 @@ import csv
 import io
 import math
 import operator
-from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Iterable, Literal, Mapping
 
 from .errors import (
@@ -45,30 +45,75 @@ def format_number(v: float) -> str:
     return repr(float(v))
 
 
-@dataclass(frozen=True)
-class TemporalMatrix:
+class Frozen:
+    """Immutable value whose fields are its ``__slots__``, in constructor order.
+
+    Values compare and hash by their fields and repr as
+    ``Name(field=value, ...)``. A subclass's ``__init__`` validates its
+    arguments and stores each field with ``object.__setattr__``; assignment
+    and deletion raise ``AttributeError``. Pickling and copying call the
+    constructor again with the fields, so a copy is validated like the
+    original.
+    """
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._fields()
+
+
+class TemporalMatrix(Frozen):
     """Years x (incidence + factors) table of annual observations.
 
     Invariants checked at construction: years strictly increasing, at least
     one year and one factor, every cell present and finite, incidence
-    non-negative.
+    non-negative. ``columns`` is a read-only mapping from factor name to
+    its column.
     """
 
-    years: tuple[int, ...]
-    incidence: tuple[float, ...]
-    factor_names: tuple[str, ...]
-    columns: Mapping[str, tuple[float, ...]]
+    __slots__ = ("years", "incidence", "factor_names", "columns")
 
-    def __post_init__(self):
-        object.__setattr__(self, "years", tuple(map(int, self.years)))
-        object.__setattr__(self, "incidence", tuple(map(float, self.incidence)))
-        object.__setattr__(self, "factor_names", tuple(self.factor_names))
+    def __init__(
+        self,
+        years: Iterable[int],
+        incidence: Iterable[float],
+        factor_names: Iterable[str],
+        columns: Mapping[str, Iterable[float]],
+    ):
+        object.__setattr__(self, "years", tuple(map(int, years)))
+        object.__setattr__(self, "incidence", tuple(map(float, incidence)))
+        object.__setattr__(self, "factor_names", tuple(factor_names))
         object.__setattr__(
             self,
             "columns",
-            {name: tuple(map(float, col)) for name, col in self.columns.items()},
+            MappingProxyType({name: tuple(map(float, col)) for name, col in columns.items()}),
         )
         self._validate()
+
+    def __reduce__(self):
+        # A mapping proxy does not pickle; the constructor takes a plain dict.
+        return TemporalMatrix, (self.years, self.incidence, self.factor_names, dict(self.columns))
 
     def _validate(self) -> None:
         """Check the invariants a column at a time; scan rows only to word an error."""
@@ -150,34 +195,36 @@ class TemporalMatrix:
         return out.getvalue()
 
 
-@dataclass(frozen=True)
-class CriticalThreshold:
+class CriticalThreshold(Frozen):
     """The extreme incidence line; years at or above it are critical."""
 
-    value: float
-    source: Literal["expert", "selected"] = "expert"
+    __slots__ = ("value", "source")
 
-    def __post_init__(self):
-        object.__setattr__(self, "value", float(self.value))
-        if not math.isfinite(self.value):
-            raise InvalidThreshold(self.value)
-        if self.source not in ("expert", "selected"):
-            raise MatrixError(f"threshold source must be 'expert' or 'selected', got {self.source!r}")
+    def __init__(self, value: float, source: Literal["expert", "selected"] = "expert"):
+        value = float(value)
+        if not math.isfinite(value):
+            raise InvalidThreshold(value)
+        if source not in ("expert", "selected"):
+            raise MatrixError(f"threshold source must be 'expert' or 'selected', got {source!r}")
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "source", source)
 
 
-@dataclass(frozen=True)
-class CriticalLabels:
+class CriticalLabels(Frozen):
     """Per-year boolean criticality derived from a threshold."""
 
-    years: tuple[int, ...]
-    is_critical: tuple[bool, ...]
-    threshold: CriticalThreshold
+    __slots__ = ("years", "is_critical", "threshold")
 
-    def __post_init__(self):
-        object.__setattr__(self, "years", tuple(map(int, self.years)))
-        object.__setattr__(self, "is_critical", tuple(map(bool, self.is_critical)))
-        if len(self.years) != len(self.is_critical):
+    def __init__(
+        self, years: Iterable[int], is_critical: Iterable[bool], threshold: CriticalThreshold
+    ):
+        years = tuple(map(int, years))
+        is_critical = tuple(map(bool, is_critical))
+        if len(years) != len(is_critical):
             raise MatrixError("labels length does not match years")
+        object.__setattr__(self, "years", years)
+        object.__setattr__(self, "is_critical", is_critical)
+        object.__setattr__(self, "threshold", threshold)
 
     @property
     def n_critical(self) -> int:
@@ -188,21 +235,21 @@ class CriticalLabels:
         return tuple(y for y, c in zip(self.years, self.is_critical) if c)
 
 
-@dataclass(frozen=True)
-class FactorSelection:
+class FactorSelection(Frozen):
     """Ordered, duplicate-free subset of a matrix's factor columns."""
 
-    names: tuple[str, ...]
+    __slots__ = ("names",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "names", tuple(self.names))
-        if not self.names:
+    def __init__(self, names: Iterable[str]):
+        names = tuple(names)
+        if not names:
             raise EmptySelection()
         seen = set()
-        for name in self.names:
+        for name in names:
             if name in seen:
                 raise DuplicateFactor(name)
             seen.add(name)
+        object.__setattr__(self, "names", names)
 
     @property
     def n_factors(self) -> int:

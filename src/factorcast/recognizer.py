@@ -20,9 +20,8 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
 from itertools import accumulate, compress
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import (
     DuplicateFactor,
@@ -31,11 +30,10 @@ from .errors import (
     MissingFactorValue,
     NoCriticalYears,
 )
-from .matrix import CriticalLabels, FactorSelection, TemporalMatrix
+from .matrix import CriticalLabels, FactorSelection, Frozen, TemporalMatrix
 
 
-@dataclass(frozen=True)
-class FactorInterval:
+class FactorInterval(Frozen):
     """Closed value envelope of one factor over critical training years.
 
     Membership is ``lo - widen_eps <= v <= hi + widen_eps``; the optional
@@ -44,41 +42,40 @@ class FactorInterval:
     finite: a NaN bound would make every membership test read as a miss.
     """
 
-    factor: str
-    lo: float
-    hi: float
-    widen_eps: float = 0.0
+    __slots__ = ("factor", "lo", "hi", "widen_eps")
 
-    def __post_init__(self):
-        object.__setattr__(self, "lo", float(self.lo))
-        object.__setattr__(self, "hi", float(self.hi))
-        object.__setattr__(self, "widen_eps", float(self.widen_eps))
-        if not all(map(math.isfinite, (self.lo, self.hi, self.widen_eps))):
-            raise ValueError(f"interval for {self.factor!r} has a non-finite bound or widening")
-        if self.lo > self.hi:
-            raise ValueError(f"interval for {self.factor!r} has lo > hi")
-        if self.widen_eps < 0:
+    def __init__(self, factor: str, lo: float, hi: float, widen_eps: float = 0.0):
+        lo, hi, widen_eps = float(lo), float(hi), float(widen_eps)
+        if not all(map(math.isfinite, (lo, hi, widen_eps))):
+            raise ValueError(f"interval for {factor!r} has a non-finite bound or widening")
+        if lo > hi:
+            raise ValueError(f"interval for {factor!r} has lo > hi")
+        if widen_eps < 0:
             raise ValueError("widen_eps must be non-negative")
+        object.__setattr__(self, "factor", factor)
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
+        object.__setattr__(self, "widen_eps", widen_eps)
 
 
-@dataclass(frozen=True)
-class IntervalProfile:
+class IntervalProfile(Frozen):
     """One interval per selected factor, trained on critical years."""
 
-    intervals: tuple[FactorInterval, ...]
-    n_critical_train: int
+    __slots__ = ("intervals", "n_critical_train")
 
-    def __post_init__(self):
-        object.__setattr__(self, "intervals", tuple(self.intervals))
-        if not self.intervals:
+    def __init__(self, intervals: Iterable[FactorInterval], n_critical_train: int):
+        intervals = tuple(intervals)
+        if not intervals:
             raise ValueError("profile must contain at least one interval")
-        if self.n_critical_train < 1:
+        if n_critical_train < 1:
             raise ValueError("profile must be trained on at least one critical year")
         seen = set()
-        for interval in self.intervals:
+        for interval in intervals:
             if interval.factor in seen:
                 raise DuplicateFactor(interval.factor)
             seen.add(interval.factor)
+        object.__setattr__(self, "intervals", intervals)
+        object.__setattr__(self, "n_critical_train", n_critical_train)
 
     @property
     def factor_names(self) -> tuple[str, ...]:
@@ -89,20 +86,20 @@ class IntervalProfile:
         return len(self.intervals)
 
 
-@dataclass(frozen=True)
-class QuorumRule:
+class QuorumRule(Frozen):
     """Flag a year when it hits at least ceil(q * F) of the F intervals.
 
     ``q = 1`` demands membership in every interval (the strict all-factors
     rule); smaller fractions such as 0.5..0.75 tolerate misses.
     """
 
-    q: float
+    __slots__ = ("q",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "q", float(self.q))
-        if not (0.0 < self.q <= 1.0):
-            raise InvalidQuorum(self.q)
+    def __init__(self, q: float):
+        q = float(q)
+        if not (0.0 < q <= 1.0):
+            raise InvalidQuorum(q)
+        object.__setattr__(self, "q", q)
 
     def required(self, n_factors: int) -> int:
         if n_factors < 1:
@@ -110,8 +107,7 @@ class QuorumRule:
         return math.ceil(self.q * n_factors)
 
 
-@dataclass(frozen=True)
-class RecognitionResult:
+class RecognitionResult(NamedTuple):
     """Flagged years plus the x / y / p recognition statistics.
 
     ``x`` counts flagged years that are truly critical, ``y`` the flagged

@@ -17,10 +17,9 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, starmap
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .backtest import BacktestResult, Verdict
 from .errors import ProfileError
@@ -41,8 +40,7 @@ def _cell(v) -> str:
     return _FORMATS.get(type(v), str)(v)
 
 
-@dataclass(frozen=True)
-class ReportTable:
+class ReportTable(NamedTuple):
     """Rows of raw values; ``columns`` are the JSON keys of a row."""
 
     title: str
@@ -50,8 +48,7 @@ class ReportTable:
     rows: Sequence[tuple]
 
 
-@dataclass(frozen=True)
-class ReportDocument:
+class ReportDocument(NamedTuple):
     """One report: metadata, its tables, and the result fields only JSON shows.
 
     Text renders ``tables`` in order, then ``summary``. The JSON result is

@@ -11,13 +11,19 @@ grid point with one kernel pass over column slices of the input matrix.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from itertools import combinations
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 from .backtest import BacktestConfig, evaluation_masks, tally, threshold_value
 from .errors import TooManyFactors, WindowTooShort
-from .matrix import CriticalLabels, CriticalThreshold, FactorSelection, TemporalMatrix, check_lag
+from .matrix import (
+    CriticalLabels,
+    CriticalThreshold,
+    FactorSelection,
+    Frozen,
+    TemporalMatrix,
+    check_lag,
+)
 from .recognizer import QuorumRule, membership_masks, precision
 
 MAX_SUBSET_FACTORS = 16
@@ -25,8 +31,7 @@ MAX_SUBSET_FACTORS = 16
 SWEEP_AXES = ("factor_subset", "quorum", "threshold", "lag", "row_length")
 
 
-@dataclass(frozen=True)
-class SweepSpec:
+class SweepSpec(Frozen):
     """One sweep axis, its grid, and the base configuration.
 
     ``grid`` is a tuple of axis values: factor-name tuples for
@@ -35,20 +40,27 @@ class SweepSpec:
     row counts for ``lag`` and ``row_length``.
     """
 
-    axis: str
-    selection: FactorSelection
-    config: BacktestConfig
-    grid: tuple | None = None
+    __slots__ = ("axis", "selection", "config", "grid")
 
-    def __post_init__(self):
-        if self.axis not in SWEEP_AXES:
+    def __init__(
+        self,
+        axis: str,
+        selection: FactorSelection,
+        config: BacktestConfig,
+        grid: Iterable | None = None,
+    ):
+        if axis not in SWEEP_AXES:
             raise ValueError(f"axis must be one of {SWEEP_AXES}")
-        if self.grid is not None:
-            object.__setattr__(self, "grid", tuple(self.grid))
-            if not self.grid:
+        if grid is not None:
+            grid = tuple(grid)
+            if not grid:
                 raise ValueError("grid must be non-empty")
-        elif self.axis != "factor_subset":
-            raise ValueError(f"axis {self.axis!r} requires an explicit grid")
+        elif axis != "factor_subset":
+            raise ValueError(f"axis {axis!r} requires an explicit grid")
+        object.__setattr__(self, "axis", axis)
+        object.__setattr__(self, "selection", selection)
+        object.__setattr__(self, "config", config)
+        object.__setattr__(self, "grid", grid)
 
 
 class SweepRow(NamedTuple):
@@ -66,8 +78,7 @@ class SweepRow(NamedTuple):
     note: str = ""
 
 
-@dataclass(frozen=True)
-class SweepReport:
+class SweepReport(NamedTuple):
     axis: str
     rows: tuple[SweepRow, ...]
 

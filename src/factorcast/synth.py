@@ -24,10 +24,10 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from typing import Iterable, NamedTuple
 
 from .errors import InvalidSpec, NoCriticalYears, UnknownFactor
-from .matrix import CriticalLabels, FactorSelection, TemporalMatrix
+from .matrix import CriticalLabels, FactorSelection, Frozen, TemporalMatrix
 from .recognizer import FactorInterval, QuorumRule, RecognitionResult
 
 AMBIENT_LO = 0.0
@@ -40,8 +40,7 @@ EDGE_GAP = 1.0
 MAX_CELLS = 1_000_000
 
 
-@dataclass(frozen=True)
-class PlantSpec:
+class PlantSpec(Frozen):
     """Recipe for one synthetic dataset.
 
     Defaults mirror a realistic desk scale: a 30-year series with 8 factor
@@ -55,49 +54,60 @@ class PlantSpec:
     ``n_years * (n_factors + 1)`` (the incidence column included).
     """
 
-    n_years: int = 30
-    n_factors: int = 8
-    seed: int = 0
-    critical_fraction: float = 0.3
-    noise_prob: float = 0.0
-    lag_shift: int = 0
-    regime_change_year: int | None = None
-    n_adversarial: int = 0
-    intervals: tuple[tuple[float, float], ...] | None = None
-    incidence_threshold: float = 10.0
-    start_year: int = 1990
+    __slots__ = (
+        "n_years",
+        "n_factors",
+        "seed",
+        "critical_fraction",
+        "noise_prob",
+        "lag_shift",
+        "regime_change_year",
+        "n_adversarial",
+        "intervals",
+        "incidence_threshold",
+        "start_year",
+    )
 
-    def __post_init__(self):
-        if self.intervals is not None:
-            object.__setattr__(
-                self,
-                "intervals",
-                tuple((float(lo), float(hi)) for lo, hi in self.intervals),
-            )
-        if self.n_years < 5:
-            raise InvalidSpec(f"n_years must be at least 5, got {self.n_years}")
-        if self.n_factors < 1:
+    def __init__(
+        self,
+        n_years: int = 30,
+        n_factors: int = 8,
+        seed: int = 0,
+        critical_fraction: float = 0.3,
+        noise_prob: float = 0.0,
+        lag_shift: int = 0,
+        regime_change_year: int | None = None,
+        n_adversarial: int = 0,
+        intervals: Iterable[tuple[float, float]] | None = None,
+        incidence_threshold: float = 10.0,
+        start_year: int = 1990,
+    ):
+        if intervals is not None:
+            intervals = tuple((float(lo), float(hi)) for lo, hi in intervals)
+        if n_years < 5:
+            raise InvalidSpec(f"n_years must be at least 5, got {n_years}")
+        if n_factors < 1:
             raise InvalidSpec("n_factors must be at least 1")
-        if self.n_years * (self.n_factors + 1) > MAX_CELLS:
+        if n_years * (n_factors + 1) > MAX_CELLS:
             raise InvalidSpec(
-                f"{self.n_years} years x {self.n_factors} factors needs"
-                f" {self.n_years * (self.n_factors + 1)} cells, more than the"
+                f"{n_years} years x {n_factors} factors needs"
+                f" {n_years * (n_factors + 1)} cells, more than the"
                 f" limit of {MAX_CELLS}"
             )
-        if not (0.0 <= self.critical_fraction <= 1.0):
+        if not (0.0 <= critical_fraction <= 1.0):
             raise InvalidSpec("critical_fraction must be in [0, 1]")
-        if not (0.0 <= self.noise_prob <= 1.0):
+        if not (0.0 <= noise_prob <= 1.0):
             raise InvalidSpec("noise_prob must be in [0, 1]")
-        if not (0 <= self.lag_shift < self.n_years):
+        if not (0 <= lag_shift < n_years):
             raise InvalidSpec("lag_shift must be in [0, n_years)")
-        if not (0 <= self.n_adversarial <= self.n_factors):
+        if not (0 <= n_adversarial <= n_factors):
             raise InvalidSpec("n_adversarial must be in [0, n_factors]")
-        if not (math.isfinite(self.incidence_threshold) and self.incidence_threshold > 0):
+        if not (math.isfinite(incidence_threshold) and incidence_threshold > 0):
             raise InvalidSpec("incidence_threshold must be finite and positive")
-        if self.intervals is not None:
-            if len(self.intervals) != self.n_factors:
+        if intervals is not None:
+            if len(intervals) != n_factors:
                 raise InvalidSpec("intervals must list one (lo, hi) pair per factor")
-            for lo, hi in self.intervals:
+            for lo, hi in intervals:
                 if not (lo <= hi):
                     raise InvalidSpec(f"planted interval has lo > hi: ({lo}, {hi})")
                 if lo - EDGE_GAP < AMBIENT_LO or hi + EDGE_GAP > AMBIENT_HI:
@@ -105,14 +115,24 @@ class PlantSpec:
                         f"planted interval ({lo}, {hi}) leaves no room outside"
                         f" the ambient range [{AMBIENT_LO}, {AMBIENT_HI}]"
                     )
+        object.__setattr__(self, "n_years", n_years)
+        object.__setattr__(self, "n_factors", n_factors)
+        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "critical_fraction", critical_fraction)
+        object.__setattr__(self, "noise_prob", noise_prob)
+        object.__setattr__(self, "lag_shift", lag_shift)
+        object.__setattr__(self, "regime_change_year", regime_change_year)
+        object.__setattr__(self, "n_adversarial", n_adversarial)
+        object.__setattr__(self, "intervals", intervals)
+        object.__setattr__(self, "incidence_threshold", incidence_threshold)
+        object.__setattr__(self, "start_year", start_year)
 
     @property
     def factor_names(self) -> tuple[str, ...]:
         return tuple(f"f{i + 1:02d}" for i in range(self.n_factors))
 
 
-@dataclass(frozen=True)
-class GroundTruth:
+class GroundTruth(NamedTuple):
     """What the generator planted: criticality, intervals, lag."""
 
     years: tuple[int, ...]

@@ -1,7 +1,6 @@
 """Threshold selection, next-year forecasting, and rolling backtests."""
 
 import random
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -216,7 +215,10 @@ class TestEvalModes:
                 rule=rule, threshold=labels.threshold, eval_mode="in_sample"
             )
             insample = rolling_backtest(m, labels, selection, base)
-            loo = rolling_backtest(m, labels, selection, replace(base, eval_mode="leave_one_out"))
+            loo_cfg = BacktestConfig(
+                rule=rule, threshold=labels.threshold, eval_mode="leave_one_out"
+            )
+            loo = rolling_backtest(m, labels, selection, loo_cfg)
             for v_in, v_loo in zip(insample.verdicts, loo.verdicts):
                 if v_in.truth is False:
                     assert v_in == v_loo
@@ -283,12 +285,12 @@ class TestConfig:
 
     def test_year_mismatch_raises_label_mismatch(self):
         labels = label_critical(WORKED.window(0, 5), CriticalThreshold(8.0))
-        cfg = BacktestConfig(rule=QuorumRule(1.0), threshold=CriticalThreshold(8.0))
         for mode in ("rolling", "leave_one_out", "in_sample"):
+            cfg = BacktestConfig(
+                rule=QuorumRule(1.0), threshold=CriticalThreshold(8.0), eval_mode=mode
+            )
             with pytest.raises(LabelMismatch):
-                rolling_backtest(
-                    WORKED, labels, FactorSelection(("f",)), replace(cfg, eval_mode=mode)
-                )
+                rolling_backtest(WORKED, labels, FactorSelection(("f",)), cfg)
 
     def test_threshold_mismatch_rejected(self):
         labels = label_critical(WORKED, CriticalThreshold(8.0))

@@ -384,6 +384,12 @@ class TestBadInput:
             "sweep", "--threshold", "8", "--axis", "lag", "--grid", "0,1", "--lag", "1"
         ],
         "empty_grid": ["sweep", "--threshold", "8", "--axis", "quorum", "--grid", ","],
+        **{
+            f"subset_grid_empty_name_{i}": [
+                "sweep", "--threshold", "8", "--axis", "factor_subset", "--grid", grid
+            ]
+            for i, grid in enumerate([",", "may_temp+", "may_temp,,may_temp"])
+        },
         "fit_select_threshold_min_critical_1": ["fit", "--select-threshold", "--min-critical", "1"],
     }
 
@@ -495,3 +501,73 @@ class TestFuzz:
     def test_profile_bytes(self, profile):
         argv = ["classify", "--input", "{data}", "--profile", "{profile}"]
         self.run(argv, {"data": WORKED_EXAMPLE, "profile": profile})
+
+
+class TestInvariance:
+    """Reports do not move under rewrites of the input that the rule cannot see.
+
+    The rule compares a factor's values only with each other, so a strictly
+    increasing map of a column (with no widening) changes no membership, and
+    the parser sorts rows by year, so row order is invisible. Each rewritten
+    input's report must equal the original's except for the two lines that
+    name and digest the input file.
+    """
+
+    INPUT_KEYS = ("input", "input_sha256")
+    MAPS = {"f01": lambda v: 2 * v + 1, "f02": lambda v: v**3}
+
+    @pytest.fixture(scope="class")
+    def inputs(self, tmp_path_factory):
+        d = tmp_path_factory.mktemp("invariance")
+        base = d / "base.csv"
+        argv = ["synth", "--seed", "5", "--years", "60", "--factors", "5", "--noise", "0.1"]
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main([*argv, "--critical-fraction", "0.4", "--output", str(base)]) == 0
+        header, *rows = base.read_text(encoding="utf-8").splitlines()
+        names = header.split(",")
+        monotone = []
+        for row in rows:
+            cells = row.split(",")
+            for name, f in self.MAPS.items():
+                i = names.index(name)
+                cells[i] = repr(f(float(cells[i])))
+            monotone.append(",".join(cells))
+        assert monotone != rows
+        rewritten = {"monotone.csv": monotone, "reversed.csv": rows[::-1]}
+        for name, body in rewritten.items():
+            (d / name).write_text("\n".join([header, *body]) + "\n", encoding="utf-8")
+        return base, [d / name for name in rewritten]
+
+    def report_lines(self, argv, path, fmt):
+        out = path.with_name(f"{path.stem}.{fmt}.out")
+        text = run_cli_to_file([*argv, "--input", str(path), "--format", fmt], out)
+        return text.decode("utf-8").splitlines()
+
+    def is_input_line(self, line, fmt):
+        line = line.strip()
+        if fmt == "json":
+            return any(line.startswith(f'"{key}": ') for key in self.INPUT_KEYS)
+        return any(line.startswith(f"{key}: ") for key in self.INPUT_KEYS)
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("mode", ["rolling", "leave_one_out", "in_sample"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["backtest", "--threshold", "10", "--quorum", "0.6"],
+            ["sweep", "--threshold", "10", "--axis", "quorum", "--grid", "0.2,0.6,1"],
+            ["sweep", "--axis", "threshold", "--grid", "4,10,14"],
+            ["sweep", "--threshold", "10", "--axis", "factor_subset", "--grid", "all"],
+        ],
+        ids=["backtest", "sweep-quorum", "sweep-threshold", "sweep-subset"],
+    )
+    def test_report_differs_only_in_input_lines(self, inputs, argv, mode, fmt):
+        base, rewritten = inputs
+        argv = [*argv, "--mode", mode, "--min-train-years", "5"]
+        want = self.report_lines(argv, base, fmt)
+        for path in rewritten:
+            got = self.report_lines(argv, path, fmt)
+            assert len(got) == len(want), path.name
+            changed = [a for a, b in zip(want, got) if a != b]
+            assert len(changed) == 2, path.name
+            assert all(self.is_input_line(line, fmt) for line in changed), path.name

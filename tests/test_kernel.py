@@ -8,7 +8,6 @@ come from the half-unit ``VALUE_GRID``, so many values sit exactly on an
 envelope edge.
 """
 
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -149,7 +148,15 @@ def test_quorum_sweep_rows_match_one_reference_backtest_each(data):
     grid = tuple(sorted(data.draw(st.sets(st.sampled_from(QUORUM_CHOICES), min_size=1))))
     report = quorum_sweep(m, labels, SweepSpec("quorum", selection, cfg, grid))
     for q, row in zip(grid, report.rows):
-        expected = reference_backtest(m, labels, selection, replace(cfg, rule=QuorumRule(q)))
+        cfg_q = BacktestConfig(
+            QuorumRule(q),
+            cfg.threshold,
+            cfg.min_train_years,
+            cfg.min_train_critical,
+            cfg.eval_mode,
+            cfg.widen_eps,
+        )
+        expected = reference_backtest(m, labels, selection, cfg_q)
         assert row_counts(row) == counts(expected)
 
 
@@ -176,7 +183,14 @@ def test_data_changing_sweeps_match_reference(data):
     expected = []
     for value in grid:
         relabeled = label_critical(m, CriticalThreshold(value, "selected"))
-        cfg_t = replace(cfg, threshold=relabeled.threshold)
+        cfg_t = BacktestConfig(
+            cfg.rule,
+            relabeled.threshold,
+            cfg.min_train_years,
+            cfg.min_train_critical,
+            cfg.eval_mode,
+            cfg.widen_eps,
+        )
         expected.append(expected_row(m, relabeled, selection, cfg_t))
     assert [row.configuration for row in report.rows] == [repr(value) for value in grid]
     assert_rows(report, expected)

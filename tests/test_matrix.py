@@ -223,6 +223,15 @@ class TestConstruction:
         with pytest.raises(MatrixError):
             TemporalMatrix((2000, 2001), (1.0, 2.0), ("f",), {"f": (1.0,)})
 
+    def test_columns_are_read_only(self, worked_example):
+        name = worked_example.factor_names[0]
+        column = worked_example.columns[name]
+        with pytest.raises(TypeError):
+            worked_example.columns[name] = (float("nan"),) * worked_example.n_years
+        with pytest.raises(TypeError):
+            del worked_example.columns[name]
+        assert worked_example.columns[name] == column
+
     def test_window(self):
         m = make_matrix((1.0, 2.0, 3.0, 4.0), f=(1.0, 2.0, 3.0, 4.0))
         assert m.prefix(2).years == (2000, 2001)

@@ -309,13 +309,16 @@ class TestSlicedSweeps:
     @pytest.fixture
     def constructed(self, monkeypatch):
         calls = []
-        for cls in (TemporalMatrix, CriticalLabels):
 
-            def spy(self, init=cls.__post_init__):
+        def spying(init):
+            def spy(self, *args, **kwargs):
                 calls.append(type(self).__name__)
-                init(self)
+                init(self, *args, **kwargs)
 
-            monkeypatch.setattr(cls, "__post_init__", spy)
+            return spy
+
+        for cls in (TemporalMatrix, CriticalLabels):
+            monkeypatch.setattr(cls, "__init__", spying(cls.__init__))
         return calls
 
     @pytest.mark.parametrize("mode", ["rolling", "leave_one_out", "in_sample"])

@@ -9,7 +9,11 @@ coerce sequences to tuples and numbers to their field's type.
 
 import copy
 import math
+import os
 import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -49,9 +53,14 @@ TABLE_REPR = "ReportTable(title='t', columns=('year',), rows=((1990,),))"
 # type: (fields in order, omitting trailing defaults; repr; hashable; one changed field).
 CASES = {
     TemporalMatrix: (
-        {"years": [1990, 1991], "incidence": [1, 2], "factor_names": ["a"], "columns": {"a": [0.5, 1]}},
+        {
+            "years": [1990, 1991],
+            "incidence": [1, 2],
+            "factor_names": ["a"],
+            "columns": {"a": [0.5, 1]},
+        },
         "TemporalMatrix(years=(1990, 1991), incidence=(1.0, 2.0), factor_names=('a',),"
-        " columns={'a': (0.5, 1.0)})",
+        " columns=mappingproxy({'a': (0.5, 1.0)}))",
         False,
         ("incidence", [1, 3]),
     ),
@@ -63,7 +72,8 @@ CASES = {
     ),
     CriticalLabels: (
         {"years": [1990, 1991], "is_critical": [0, 1], "threshold": THRESHOLD},
-        f"CriticalLabels(years=(1990, 1991), is_critical=(False, True), threshold={THRESHOLD_REPR})",
+        "CriticalLabels(years=(1990, 1991), is_critical=(False, True),"
+        f" threshold={THRESHOLD_REPR})",
         True,
         ("is_critical", [1, 1]),
     ),
@@ -242,10 +252,6 @@ def matrix(**fields):
     return TemporalMatrix(**{**base, **fields})
 
 
-def plant(**fields):
-    return PlantSpec(**fields)
-
-
 # (constructor, exception class, message); each line is one check, in the
 # order the constructor makes them.
 INVALID = [
@@ -296,21 +302,23 @@ INVALID = [
      "widen_eps must be finite and non-negative"),
     (lambda: BacktestConfig(QuorumRule(1.0), THRESHOLD, widen_eps=NAN), ValueError,
      "widen_eps must be finite and non-negative"),
-    (lambda: plant(n_years=4), InvalidSpec, "n_years must be at least 5, got 4"),
-    (lambda: plant(n_factors=0), InvalidSpec, "n_factors must be at least 1"),
-    (lambda: plant(n_years=1000, n_factors=1000), InvalidSpec,
+    (lambda: PlantSpec(n_years=4), InvalidSpec, "n_years must be at least 5, got 4"),
+    (lambda: PlantSpec(n_factors=0), InvalidSpec, "n_factors must be at least 1"),
+    (lambda: PlantSpec(n_years=1000, n_factors=1000), InvalidSpec,
      "1000 years x 1000 factors needs 1001000 cells, more than the limit of 1000000"),
-    (lambda: plant(critical_fraction=1.5), InvalidSpec, "critical_fraction must be in [0, 1]"),
-    (lambda: plant(noise_prob=-0.1), InvalidSpec, "noise_prob must be in [0, 1]"),
-    (lambda: plant(lag_shift=30), InvalidSpec, "lag_shift must be in [0, n_years)"),
-    (lambda: plant(n_adversarial=9), InvalidSpec, "n_adversarial must be in [0, n_factors]"),
-    (lambda: plant(incidence_threshold=0.0), InvalidSpec,
+    (lambda: PlantSpec(critical_fraction=1.5), InvalidSpec,
+     "critical_fraction must be in [0, 1]"),
+    (lambda: PlantSpec(noise_prob=-0.1), InvalidSpec, "noise_prob must be in [0, 1]"),
+    (lambda: PlantSpec(lag_shift=30), InvalidSpec, "lag_shift must be in [0, n_years)"),
+    (lambda: PlantSpec(n_adversarial=9), InvalidSpec,
+     "n_adversarial must be in [0, n_factors]"),
+    (lambda: PlantSpec(incidence_threshold=0.0), InvalidSpec,
      "incidence_threshold must be finite and positive"),
-    (lambda: plant(intervals=((10, 20),)), InvalidSpec,
+    (lambda: PlantSpec(intervals=((10, 20),)), InvalidSpec,
      "intervals must list one (lo, hi) pair per factor"),
-    (lambda: plant(n_factors=1, intervals=((5, 3),)), InvalidSpec,
+    (lambda: PlantSpec(n_factors=1, intervals=((5, 3),)), InvalidSpec,
      "planted interval has lo > hi: (5.0, 3.0)"),
-    (lambda: plant(n_factors=1, intervals=((0.5, 3),)), InvalidSpec,
+    (lambda: PlantSpec(n_factors=1, intervals=((0.5, 3),)), InvalidSpec,
      "planted interval (0.5, 3.0) leaves no room outside the ambient range [0.0, 100.0]"),
     (lambda: SweepSpec("speed", FactorSelection(("a",)), CONFIG), ValueError,
      "axis must be one of ('factor_subset', 'quorum', 'threshold', 'lag', 'row_length')"),
@@ -330,6 +338,20 @@ def test_invalid_fields_raise_one_class_and_message(make, exc, message):
 
 
 def test_planted_intervals_are_coerced_to_float_pairs():
-    spec = plant(n_factors=1, intervals=[[10, 20]])
+    spec = PlantSpec(n_factors=1, intervals=[[10, 20]])
     assert spec.intervals == ((10.0, 20.0),)
     assert type(spec.intervals[0][0]) is float
+
+
+def test_cold_import_loads_neither_dataclasses_nor_inspect():
+    """Each of them costs a fresh ``factorcast`` process milliseconds of start-up."""
+    code = (
+        "import sys; before = set(sys.modules); import factorcast.cli; "
+        "print(*sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))"
+    )
+    paths = (str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH"))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert done.stdout == "\n"
