@@ -8,7 +8,6 @@ come from the half-unit ``VALUE_GRID``, so many values sit exactly on an
 envelope edge.
 """
 
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
