@@ -11,7 +11,8 @@ leave-one-out mode for comparison.
 from __future__ import annotations
 
 import math
-from collections import Counter
+from functools import partial
+from itertools import compress
 from typing import Literal, NamedTuple, Sequence
 
 from .errors import InsufficientYears
@@ -140,21 +141,23 @@ def evaluation_masks(
     return masks, labels.is_critical[start:]
 
 
-def tally(groups: Counter, subset_bits: int, required: int) -> tuple[int, int, int]:
-    """``(x, y, n_no_forecast)`` of one factor subset and quorum requirement.
+def membership_counts(masks: Sequence[int | None]) -> list[int | None]:
+    """Each kernel mask's number of envelope hits; a None mask (``no_forecast``) stays None."""
+    return [None if mask is None else mask.bit_count() for mask in masks]
 
-    ``groups`` is ``Counter(zip(*evaluation_masks(...)))``: equal masks are scored once.
-    """
-    x = y = n_no_forecast = 0
-    for (mask, truth), n in groups.items():
-        if mask is None:
-            n_no_forecast += n
-        elif (mask & subset_bits).bit_count() >= required:
-            if truth:
-                x += n
-            else:
-                y += n
-    return x, y, n_no_forecast
+
+def score(
+    counts: Sequence[int | None], truth: Sequence[bool], required: int
+) -> tuple[int, int, int]:
+    """``(x, y, n_no_forecast)`` of per-row membership counts against a quorum requirement."""
+    flagged = [count is not None and count >= required for count in counts]
+    x = sum(compress(truth, flagged))
+    return x, sum(flagged) - x, counts.count(None)
+
+
+# Builds a Verdict from one (year, prediction, membership, truth) tuple. Verdict._make
+# adds only a length check, which zipping the four sequences already guarantees.
+_verdict = partial(tuple.__new__, Verdict)
 
 
 def rolling_backtest(
@@ -182,20 +185,19 @@ def rolling_backtest(
     so a backtest costs O(n·F) for n years and F factors: rolling keeps a
     running min/max per factor instead of rebuilding the prefix at each
     origin, and leave-one-out patches the in-sample bits of the critical
-    years that sit alone on an envelope edge.
+    years that sit alone on an envelope edge. The kernel's masks become
+    per-year membership counts; each count against the quorum requirement
+    gives the year's prediction, and the counts are scored once for x, y
+    and the ``no_forecast`` total.
     """
     masks, truth = evaluation_masks(m, labels, selection.names, cfg)
     required = cfg.rule.required(selection.n_factors)
     years = m.years[m.n_years - len(masks) :]
-    verdicts = []
-    for year, mask, critical in zip(years, masks, truth):
-        if mask is None:
-            verdicts.append(Verdict(year, "no_forecast", truth=critical))
-            continue
-        count = mask.bit_count()
-        prediction = "critical" if count >= required else "non_critical"
-        verdicts.append(Verdict(year, prediction, count, critical))
-    x, y, n_no_forecast = tally(
-        Counter(zip(masks, truth)), (1 << selection.n_factors) - 1, required
-    )
-    return BacktestResult(tuple(verdicts), x, y, precision(x, y), n_no_forecast)
+    counts = membership_counts(masks)
+    predictions = [
+        "no_forecast" if count is None else "critical" if count >= required else "non_critical"
+        for count in counts
+    ]
+    verdicts = tuple(map(_verdict, zip(years, predictions, counts, truth)))
+    x, y, n_no_forecast = score(counts, truth, required)
+    return BacktestResult(verdicts, x, y, precision(x, y), n_no_forecast)

@@ -348,6 +348,8 @@ def _parse_grid(args) -> tuple | None:
         grid = tuple(tuple(n.strip() for n in part.split("+")) for part in raw.split(","))
         if not all(map(all, grid)):
             args.usage_error(f"empty factor name in --grid {raw!r}")
+        if any(len(set(subset)) < len(subset) for subset in grid):
+            args.usage_error(f"repeated factor name in one subset of --grid {raw!r}")
         return grid
     values = [part.strip() for part in raw.split(",") if part.strip()]
     if not values:

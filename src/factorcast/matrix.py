@@ -177,9 +177,6 @@ class TemporalMatrix(Frozen):
             columns={name: col[start:stop] for name, col in self.columns.items()},
         )
 
-    def prefix(self, n_rows: int) -> "TemporalMatrix":
-        return self.window(0, n_rows)
-
     def to_csv(self) -> str:
         """Serialize back to the canonical CSV format.
 
@@ -229,10 +226,6 @@ class CriticalLabels(Frozen):
     @property
     def n_critical(self) -> int:
         return sum(self.is_critical)
-
-    @property
-    def critical_years(self) -> tuple[int, ...]:
-        return tuple(y for y, c in zip(self.years, self.is_critical) if c)
 
 
 class FactorSelection(Frozen):

@@ -343,8 +343,24 @@ def profile_to_json(profile: IntervalProfile, rule: QuorumRule) -> str:
     return json_text(_json_value(doc))
 
 
+_NUMBER = (int, float)
+
+
+def _typed(key: str, value, types: tuple):
+    """``value`` if its exact type is one of ``types``; a bool is no int and a string no float."""
+    if type(value) not in types:
+        expected = " or ".join(t.__name__ for t in types)
+        raise TypeError(f"{key} must be {expected}, got {type(value).__name__}")
+    return value
+
+
 def profile_from_json(text: str) -> tuple[IntervalProfile, QuorumRule]:
-    """Read back :func:`profile_to_json`'s document; an absent ``widen_eps`` reads as 0."""
+    """Read back :func:`profile_to_json`'s document; an absent ``widen_eps`` reads as 0.
+
+    Each field must have the JSON type that document gives it: a string
+    ``factor``, an integer ``n_critical_train`` and numbers (int or float) for
+    the rest. Nothing is coerced.
+    """
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -353,18 +369,23 @@ def profile_from_json(text: str) -> tuple[IntervalProfile, QuorumRule]:
         raise ProfileError("profile document is nested too deeply") from None
     if not isinstance(doc, dict) or doc.get("format") != PROFILE_FORMAT:
         raise ProfileError("not a factorcast profile document")
-    if doc.get("version") != PROFILE_VERSION:
+    # 1.0 and true compare equal to 1, so the version's type is checked too.
+    if type(doc.get("version")) is not int or doc["version"] != PROFILE_VERSION:
         raise ProfileError(f"unsupported profile version {doc.get('version')!r}")
     try:
         body = doc["profile"]
         intervals = tuple(
             FactorInterval(
-                str(iv["factor"]), float(iv["lo"]), float(iv["hi"]), float(iv.get("widen_eps", 0.0))
+                _typed("factor", iv["factor"], (str,)),
+                _typed("lo", iv["lo"], _NUMBER),
+                _typed("hi", iv["hi"], _NUMBER),
+                _typed("widen_eps", iv.get("widen_eps", 0.0), _NUMBER),
             )
             for iv in body["intervals"]
         )
-        profile = IntervalProfile(intervals, int(body["n_critical_train"]))
-        rule = QuorumRule(float(doc["quorum"]))
+        n_critical_train = _typed("n_critical_train", body["n_critical_train"], (int,))
+        profile = IntervalProfile(intervals, n_critical_train)
+        rule = QuorumRule(_typed("quorum", doc["quorum"], _NUMBER))
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ProfileError(f"malformed profile document: {exc}") from None
     return profile, rule

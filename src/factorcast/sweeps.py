@@ -14,7 +14,7 @@ from collections import Counter
 from itertools import combinations
 from typing import Iterable, NamedTuple
 
-from .backtest import BacktestConfig, evaluation_masks, tally, threshold_value
+from .backtest import BacktestConfig, evaluation_masks, membership_counts, score, threshold_value
 from .errors import TooManyFactors, WindowTooShort
 from .matrix import (
     CriticalLabels,
@@ -102,10 +102,8 @@ def _grid_point_row(
         return _skipped_row(label, note)
     start = cfg.min_train_years if cfg.eval_mode == "rolling" else 0
     kwargs = {"widen_eps": cfg.widen_eps, "start": start, "min_critical": cfg.min_train_critical}
-    masks = membership_masks(columns, critical, cfg.eval_mode, **kwargs)
-    groups = Counter(zip(masks, critical[start:]))
-    n = len(columns)
-    return _ok_row(label, *tally(groups, (1 << n) - 1, cfg.rule.required(n)))
+    counts = membership_counts(membership_masks(columns, critical, cfg.eval_mode, **kwargs))
+    return _ok_row(label, *score(counts, critical[start:], cfg.rule.required(len(columns))))
 
 
 def enumerate_subsets(selection: FactorSelection) -> tuple[FactorSelection, ...]:
@@ -120,14 +118,33 @@ def enumerate_subsets(selection: FactorSelection) -> tuple[FactorSelection, ...]
     return tuple(FactorSelection(names) for names in subsets)
 
 
+def tally(groups: Counter, subset_bits: int, required: int) -> tuple[int, int, int]:
+    """``(x, y, n_no_forecast)`` of one factor subset and quorum requirement.
+
+    ``groups`` is ``Counter(zip(*evaluation_masks(...)))``: equal masks are scored once.
+    """
+    x = y = n_no_forecast = 0
+    for (mask, truth), n in groups.items():
+        if mask is None:
+            n_no_forecast += n
+        elif (mask & subset_bits).bit_count() >= required:
+            if truth:
+                x += n
+            else:
+                y += n
+    return x, y, n_no_forecast
+
+
 def subset_sweep(
     m: TemporalMatrix, labels: CriticalLabels, spec: SweepSpec
 ) -> SweepReport:
     """Evaluate every factor subset in the grid with the base configuration.
 
     A factor's membership bit does not depend on the subset, so the sweep is
-    one kernel pass over the union of the grid's factors, then one AND and
-    one popcount per (subset, distinct mask).
+    one kernel pass over the union of the grid's factors. Equal (mask, truth)
+    pairs are grouped once, and every subset reuses the groups: one AND and
+    one popcount per (subset, distinct mask), which pays off across the up to
+    2^F - 1 subsets of an enumerated grid.
 
     More factors does not always mean higher precision: under a partial
     quorum an uninformative factor can vote otherwise-rejected years past
@@ -153,12 +170,14 @@ def quorum_sweep(
 ) -> SweepReport:
     """One row per quorum fraction; flagged counts are non-increasing in q.
 
-    One kernel pass serves the whole grid: only ``required`` changes.
+    One kernel pass serves the whole grid: the per-year membership counts are
+    taken once, and each grid point scores them against its own ``required``.
     """
     rules = [QuorumRule(float(q)) for q in spec.grid]
     n = spec.selection.n_factors
-    groups = Counter(zip(*evaluation_masks(m, labels, spec.selection.names, spec.config)))
-    rows = [_ok_row(repr(r.q), *tally(groups, (1 << n) - 1, r.required(n))) for r in rules]
+    masks, truth = evaluation_masks(m, labels, spec.selection.names, spec.config)
+    counts = membership_counts(masks)
+    rows = [_ok_row(repr(r.q), *score(counts, truth, r.required(n))) for r in rules]
     return SweepReport("quorum", tuple(rows))
 
 

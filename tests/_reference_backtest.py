@@ -139,7 +139,7 @@ def _rolling_verdicts(
 ) -> list[Verdict]:
     verdicts = []
     for t in range(cfg.min_train_years, m.n_years):
-        train = m.prefix(t)
+        train = m.window(0, t)
         train_labels = label_critical(train, labels.threshold)
         verdict = forecast_next(
             train,

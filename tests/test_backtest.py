@@ -17,6 +17,7 @@ from factorcast import (
     rolling_backtest,
     select_threshold,
 )
+from factorcast.backtest import Verdict
 from factorcast.errors import InsufficientYears, LabelMismatch
 from factorcast.matrix import TemporalMatrix
 from factorcast.synth import PlantSpec, generate
@@ -168,6 +169,21 @@ class TestRollingBacktest:
             assert result.n_no_forecast == sum(
                 1 for v in result.verdicts if v.prediction == "no_forecast"
             )
+
+    @pytest.mark.parametrize("mode", ["rolling", "leave_one_out", "in_sample"])
+    def test_result_types(self, mode):
+        # JSON reports print a bool as true/false, so counts must be plain ints.
+        rng = random.Random(29)
+        for _ in range(30):
+            m, labels, selection, rule = random_instance(rng, n_min=6, n_max=12)
+            cfg = BacktestConfig(rule, labels.threshold, min_train_years=3, eval_mode=mode)
+            result = rolling_backtest(m, labels, selection, cfg)
+            assert type(result.verdicts) is tuple
+            for v in result.verdicts:
+                assert type(v) is Verdict
+                assert type(v.year) is int and type(v.truth) is bool
+                assert v.membership is None or type(v.membership) is int
+            assert [type(n) for n in (result.x, result.y, result.n_no_forecast)] == [int] * 3
 
     def test_causality(self):
         rng = random.Random(23)

@@ -330,6 +330,15 @@ class TestBadInput:
         err = capsys.readouterr().err
         assert err.startswith("error: malformed profile document") and err.count("\n") == 1
 
+    def test_classify_rejects_profile_with_string_quorum(self, workdir, tmp_path, capsys):
+        doc = json.loads((workdir / "profile.json").read_text(encoding="utf-8"))
+        doc["quorum"] = "1.0"
+        profile = tmp_path / "string_quorum_profile.json"
+        profile.write_text(json.dumps(doc), encoding="utf-8")
+        assert self.classify(workdir, workdir / "worked_example.csv", profile) == 2
+        err = capsys.readouterr().err
+        assert err == "error: malformed profile document: quorum must be int or float, got str\n"
+
     def test_classify_rejects_deeply_nested_profile(self, workdir, tmp_path, capsys):
         profile = tmp_path / "nested_profile.json"
         profile.write_text("[" * 200000 + "]" * 200000, encoding="utf-8")
@@ -390,6 +399,9 @@ class TestBadInput:
             ]
             for i, grid in enumerate([",", "may_temp+", "may_temp,,may_temp"])
         },
+        "subset_grid_repeated_name": [
+            "sweep", "--threshold", "8", "--axis", "factor_subset", "--grid", "may_temp+may_temp"
+        ],
         "fit_select_threshold_min_critical_1": ["fit", "--select-threshold", "--min-critical", "1"],
     }
 
@@ -558,8 +570,13 @@ class TestInvariance:
             ["sweep", "--threshold", "10", "--axis", "quorum", "--grid", "0.2,0.6,1"],
             ["sweep", "--axis", "threshold", "--grid", "4,10,14"],
             ["sweep", "--threshold", "10", "--axis", "factor_subset", "--grid", "all"],
+            ["sweep", "--threshold", "10", "--axis", "lag", "--grid", "0,2,5"],
+            ["sweep", "--threshold", "10", "--axis", "row_length", "--grid", "20,40,60"],
         ],
-        ids=["backtest", "sweep-quorum", "sweep-threshold", "sweep-subset"],
+        ids=[
+            "backtest", "sweep-quorum", "sweep-threshold", "sweep-subset", "sweep-lag",
+            "sweep-row-length",
+        ],
     )
     def test_report_differs_only_in_input_lines(self, inputs, argv, mode, fmt):
         base, rewritten = inputs

@@ -222,6 +222,15 @@ class TestProfilePersistence:
                 json.dumps({"format": "factorcast-profile", "version": 1, "quorum": 0.5})
             )
 
+    @pytest.mark.parametrize("version", [1.0, True, "1"])
+    def test_rejects_a_version_that_only_equals_1(self, version):
+        m, labels = fixture()
+        profile = build_profile(m, labels, FactorSelection(("f",)))
+        doc = json.loads(profile_to_json(profile, QuorumRule(0.75)))
+        doc["version"] = version
+        with pytest.raises(ProfileError, match="unsupported profile version"):
+            profile_from_json(json.dumps(doc))
+
     @pytest.mark.parametrize("field", ["lo", "hi", "widen_eps"])
     def test_rejects_non_finite_interval_numbers(self, field):
         m, labels = fixture()
@@ -231,6 +240,48 @@ class TestProfilePersistence:
         # json.dumps writes NaN, which json.loads reads back as a float NaN.
         with pytest.raises(ProfileError):
             profile_from_json(json.dumps(doc))
+
+    # fit never writes these types here; none is coerced (2.7 to 2, 5 to "5", true to 1.0).
+    @pytest.mark.parametrize(
+        "path, value",
+        [
+            (("profile", "n_critical_train"), 2.7),
+            (("profile", "n_critical_train"), 1e300),
+            (("profile", "n_critical_train"), 3.0),
+            (("profile", "n_critical_train"), True),
+            (("profile", "n_critical_train"), "3"),
+            (("profile", "intervals", 0, "factor"), 5),
+            (("profile", "intervals", 0, "factor"), None),
+            (("profile", "intervals", 0, "lo"), "1.5"),
+            (("profile", "intervals", 0, "hi"), True),
+            (("profile", "intervals", 0, "widen_eps"), None),
+            (("quorum",), True),
+            (("quorum",), "0.75"),
+        ],
+    )
+    def test_rejects_fields_of_another_json_type(self, path, value):
+        m, labels = fixture()
+        profile = build_profile(m, labels, FactorSelection(("f",)))
+        doc = json.loads(profile_to_json(profile, QuorumRule(0.75)))
+        *parents, key = path
+        target = doc
+        for parent in parents:
+            target = target[parent]
+        target[key] = value
+        with pytest.raises(ProfileError, match=f"{key} must be "):
+            profile_from_json(json.dumps(doc))
+
+    def test_integer_numbers_load_as_floats(self):
+        m, labels = fixture()
+        profile = build_profile(m, labels, FactorSelection(("f",)))
+        doc = json.loads(profile_to_json(profile, QuorumRule(1.0)))
+        doc["quorum"] = 1
+        doc["profile"]["intervals"][0].update(lo=5, hi=10, widen_eps=0)
+        loaded_profile, loaded_rule = profile_from_json(json.dumps(doc))
+        (interval,) = loaded_profile.intervals
+        numbers = (interval.lo, interval.hi, interval.widen_eps, loaded_rule.q)
+        assert numbers == (5.0, 10.0, 0.0, 1.0)
+        assert {type(v) for v in numbers} == {float}
 
     def test_rejects_infinite_training_count(self):
         m, labels = fixture()

@@ -338,6 +338,20 @@ class TestSlicedSweeps:
         label_critical(THREE_FACTOR, THRESHOLD)
         assert constructed == ["TemporalMatrix", "CriticalLabels"]
 
+    @pytest.mark.parametrize("mode", ["rolling", "leave_one_out", "in_sample"])
+    def test_ok_rows_count_in_ints(self, mode):
+        cfg = BacktestConfig(QuorumRule(0.5), THRESHOLD, min_train_years=3, eval_mode=mode)
+        reports = [
+            quorum_sweep(THREE_FACTOR, LABELS, spec_for("quorum", (0.5, 1.0), cfg)),
+            subset_sweep(THREE_FACTOR, LABELS, spec_for("factor_subset", None, cfg)),
+            threshold_sensitivity(THREE_FACTOR, spec_for("threshold", (2.0, 8.0), cfg)),
+            lag_sweep(THREE_FACTOR, LABELS, spec_for("lag", (0, 1), cfg)),
+            row_length_sweep(THREE_FACTOR, LABELS, spec_for("row_length", (4, 6), cfg)),
+        ]
+        rows = [row for report in reports for row in report.rows if row.status == "ok"]
+        assert len(rows) == 2 + 7 + 2 + 2 + 2
+        assert {type(n) for row in rows for n in (row.x, row.y, row.n_no_forecast)} == {int}
+
     # A row-length grid whose every point is skipped still checks the labels.
     @pytest.mark.parametrize(
         "sweep,axis,grid", [(lag_sweep, "lag", (0,)), (row_length_sweep, "row_length", (40,))]
