@@ -354,12 +354,27 @@ def _typed(key: str, value, types: tuple):
     return value
 
 
+# The keys each object of a saved profile may hold; any other key is an error.
+_DOCUMENT_KEYS = frozenset(("format", "version", "quorum", "profile"))
+_BODY_KEYS = frozenset(("n_critical_train", "intervals"))
+_INTERVAL_KEYS = frozenset(("factor", "lo", "hi", "widen_eps"))
+
+
+def _check_keys(obj, allowed: frozenset, where: str) -> None:
+    """Raise a ``ProfileError`` naming the first key of a dict ``obj`` outside ``allowed``."""
+    if isinstance(obj, dict):
+        for key in obj:
+            if key not in allowed:
+                raise ProfileError(f"malformed profile document: unknown {where} key {key!r}")
+
+
 def profile_from_json(text: str) -> tuple[IntervalProfile, QuorumRule]:
     """Read back :func:`profile_to_json`'s document; an absent ``widen_eps`` reads as 0.
 
     Each field must have the JSON type that document gives it: a string
     ``factor``, an integer ``n_critical_train`` and numbers (int or float) for
-    the rest. Nothing is coerced.
+    the rest. Nothing is coerced, and a key the document does not define
+    (a misspelled ``widen_eps``, say) is an error rather than ignored.
     """
     try:
         doc = json.loads(text)
@@ -372,8 +387,12 @@ def profile_from_json(text: str) -> tuple[IntervalProfile, QuorumRule]:
     # 1.0 and true compare equal to 1, so the version's type is checked too.
     if type(doc.get("version")) is not int or doc["version"] != PROFILE_VERSION:
         raise ProfileError(f"unsupported profile version {doc.get('version')!r}")
+    _check_keys(doc, _DOCUMENT_KEYS, "top-level")
     try:
         body = doc["profile"]
+        _check_keys(body, _BODY_KEYS, "profile")
+        for iv in body["intervals"]:
+            _check_keys(iv, _INTERVAL_KEYS, "interval")
         intervals = tuple(
             FactorInterval(
                 _typed("factor", iv["factor"], (str,)),

@@ -23,6 +23,7 @@ from .matrix import (
     Frozen,
     TemporalMatrix,
     check_lag,
+    format_number,
 )
 from .recognizer import QuorumRule, membership_masks, precision
 
@@ -177,7 +178,7 @@ def quorum_sweep(
     n = spec.selection.n_factors
     masks, truth = evaluation_masks(m, labels, spec.selection.names, spec.config)
     counts = membership_counts(masks)
-    rows = [_ok_row(repr(r.q), *score(counts, truth, r.required(n))) for r in rules]
+    rows = [_ok_row(format_number(r.q), *score(counts, truth, r.required(n))) for r in rules]
     return SweepReport("quorum", tuple(rows))
 
 
@@ -191,7 +192,7 @@ def threshold_sensitivity(m: TemporalMatrix, spec: SweepSpec) -> SweepReport:
     rows = []
     for value in spec.grid:
         value = CriticalThreshold(float(value), "selected").value
-        rows.append(_grid_point_row(repr(value), columns, m.incidence, value, spec.config))
+        rows.append(_grid_point_row(format_number(value), columns, m.incidence, value, spec.config))
     return SweepReport("threshold", tuple(rows))
 
 

@@ -22,7 +22,6 @@ from factorcast.errors import InsufficientYears, LabelMismatch
 from factorcast.matrix import TemporalMatrix
 from factorcast.synth import PlantSpec, generate
 
-from _reference_backtest import forecast_next
 from _reference_backtest import select_threshold as reference_select_threshold
 from _support import random_instance
 
@@ -95,25 +94,31 @@ class TestSelectThreshold:
             assert isinstance(outcomes[0], tuple)
 
 
+def worked_backtest(threshold):
+    """Rolling backtest of WORKED with q = 1, forecasting from its fourth year on."""
+    threshold = CriticalThreshold(threshold)
+    labels = label_critical(WORKED, threshold)
+    cfg = BacktestConfig(QuorumRule(1.0), threshold, min_train_years=3)
+    return labels, rolling_backtest(WORKED, labels, FactorSelection(("f",)), cfg)
+
+
 class TestForecastNext:
     def test_too_few_criticals_gives_no_forecast(self):
         for threshold in (11.0, 10.0):  # 0 and 1 critical years
-            labels = label_critical(WORKED, CriticalThreshold(threshold))
+            labels, result = worked_backtest(threshold)
             assert labels.n_critical <= 1
-            verdict = forecast_next(
-                WORKED, labels, FactorSelection(("f",)), QuorumRule(1.0), {"f": 6.0}
-            )
-            assert verdict.prediction == "no_forecast"
-            assert verdict.membership is None
+            assert [v.year for v in result.verdicts] == [2003, 2004, 2005]
+            for verdict in result.verdicts:
+                assert verdict.prediction == "no_forecast"
+                assert verdict.membership is None
 
     def test_inside_interval_is_critical(self):
-        labels = label_critical(WORKED, CriticalThreshold(8.0))
-        verdict = forecast_next(
-            WORKED, labels, FactorSelection(("f",)), QuorumRule(1.0), {"f": 6.5}
-        )
+        # 2000, 2002 and 2004 are critical, so 2005 (f = 5.5) is forecast from [5, 7].
+        _, result = worked_backtest(8.0)
+        verdict = result.verdicts[-1]
+        assert verdict.year == 2005
         assert verdict.prediction == "critical"
         assert verdict.membership == 1
-        assert verdict.year == 2006
 
     def test_noiseless_planted_forecasts_match_truth(self):
         # Seeded instance whose training envelopes converge early enough

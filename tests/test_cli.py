@@ -339,6 +339,15 @@ class TestBadInput:
         err = capsys.readouterr().err
         assert err == "error: malformed profile document: quorum must be int or float, got str\n"
 
+    def test_classify_rejects_profile_with_misspelled_key(self, workdir, tmp_path, capsys):
+        doc = json.loads((workdir / "profile.json").read_text(encoding="utf-8"))
+        doc["profile"]["intervals"][0]["widen_esp"] = 0.5
+        profile = tmp_path / "misspelled_profile.json"
+        profile.write_text(json.dumps(doc), encoding="utf-8")
+        assert self.classify(workdir, workdir / "worked_example.csv", profile) == 2
+        err = capsys.readouterr().err
+        assert err == "error: malformed profile document: unknown interval key 'widen_esp'\n"
+
     def test_classify_rejects_deeply_nested_profile(self, workdir, tmp_path, capsys):
         profile = tmp_path / "nested_profile.json"
         profile.write_text("[" * 200000 + "]" * 200000, encoding="utf-8")
@@ -520,16 +529,22 @@ class TestInvariance:
 
     The rule compares a factor's values only with each other, so a strictly
     increasing map of a column (with no widening) changes no membership, and
-    the parser sorts rows by year, so row order is invisible. Each rewritten
-    input's report must equal the original's except for the two lines that
-    name and digest the input file.
+    the parser sorts rows by year, so row order is invisible. With the
+    factors named by ``--factors``, the order of the columns in the file is
+    invisible too. Shifting a half-unit column by a whole number moves every
+    widened edge with it exactly, so ``--widen-eps 0.5`` sees no change.
+    Each rewritten input's report must equal the original's except for the
+    two lines that name and digest the input file.
     """
 
     INPUT_KEYS = ("input", "input_sha256")
     MAPS = {"f01": lambda v: 2 * v + 1, "f02": lambda v: v**3}
+    HALF_UNITS = {"f03": lambda v: round(2 * v) / 2}
+    SHIFT = {"f03": lambda v: v + 7}
 
     @pytest.fixture(scope="class")
     def inputs(self, tmp_path_factory):
+        """``(original, rewritten, flags)``: two inputs whose reports agree under ``flags``."""
         d = tmp_path_factory.mktemp("invariance")
         base = d / "base.csv"
         argv = ["synth", "--seed", "5", "--years", "60", "--factors", "5", "--noise", "0.1"]
@@ -537,18 +552,36 @@ class TestInvariance:
             assert main([*argv, "--critical-fraction", "0.4", "--output", str(base)]) == 0
         header, *rows = base.read_text(encoding="utf-8").splitlines()
         names = header.split(",")
-        monotone = []
-        for row in rows:
-            cells = row.split(",")
-            for name, f in self.MAPS.items():
-                i = names.index(name)
-                cells[i] = repr(f(float(cells[i])))
-            monotone.append(",".join(cells))
-        assert monotone != rows
-        rewritten = {"monotone.csv": monotone, "reversed.csv": rows[::-1]}
-        for name, body in rewritten.items():
-            (d / name).write_text("\n".join([header, *body]) + "\n", encoding="utf-8")
-        return base, [d / name for name in rewritten]
+        table = [row.split(",") for row in rows]
+
+        def mapped(table, maps):
+            index = {names.index(name): f for name, f in maps.items()}
+            return [
+                [repr(index[i](float(c))) if i in index else c for i, c in enumerate(cells)]
+                for cells in table
+            ]
+
+        def write(name, table, order=range(len(names))):
+            lines = [[cells[i] for i in order] for cells in [names, *table]]
+            path = d / name
+            path.write_text("\n".join(map(",".join, lines)) + "\n", encoding="utf-8")
+            return path
+
+        permuted = [0, 1, *reversed(range(2, len(names)))]
+        rounded = mapped(table, self.HALF_UNITS)
+        cases = [
+            (base, write("monotone.csv", mapped(table, self.MAPS)), []),
+            (base, write("reversed.csv", table[::-1]), []),
+            (base, write("permuted.csv", table, permuted), ["--factors", ",".join(names[2:])]),
+            (
+                write("rounded.csv", rounded),
+                write("shifted.csv", mapped(rounded, self.SHIFT)),
+                ["--widen-eps", "0.5"],
+            ),
+        ]
+        for original, rewritten, _ in cases:
+            assert original.read_bytes() != rewritten.read_bytes(), rewritten.name
+        return cases
 
     def report_lines(self, argv, path, fmt):
         out = path.with_name(f"{path.stem}.{fmt}.out")
@@ -579,11 +612,10 @@ class TestInvariance:
         ],
     )
     def test_report_differs_only_in_input_lines(self, inputs, argv, mode, fmt):
-        base, rewritten = inputs
         argv = [*argv, "--mode", mode, "--min-train-years", "5"]
-        want = self.report_lines(argv, base, fmt)
-        for path in rewritten:
-            got = self.report_lines(argv, path, fmt)
+        for original, path, flags in inputs:
+            want = self.report_lines([*argv, *flags], original, fmt)
+            got = self.report_lines([*argv, *flags], path, fmt)
             assert len(got) == len(want), path.name
             changed = [a for a, b in zip(want, got) if a != b]
             assert len(changed) == 2, path.name

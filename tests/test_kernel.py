@@ -1,12 +1,15 @@
-"""The membership kernel against the slow per-origin reference.
+"""The membership kernel against one independent plain-loop rule reference.
 
 Every backtest mode and every sweep axis reads ``membership_masks``; these
-property tests compare them with ``_reference_backtest``, which rebuilds a
-prefix matrix and its profile at every origin, and compare the kernel itself
-with the row-at-a-time kernel kept in ``_reference_kernel``. Factor values
-come from the half-unit ``VALUE_GRID``, so many values sit exactly on an
-envelope edge.
+property tests compare the kernel, each backtest mode and each sweep axis
+with ``_reference_rule``, which imports nothing from the package and
+recomputes every row's envelope from scratch over the rows that train it.
+Factor values come from the half-unit ``VALUE_GRID``, so many values sit
+exactly on an envelope edge.
 """
+
+import ast
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -32,8 +35,7 @@ from factorcast.sweeps import (
     threshold_sensitivity,
 )
 
-from _reference_backtest import reference_backtest
-from _reference_kernel import membership_masks as reference_masks
+import _reference_rule as ref
 from _support import QUORUM_CHOICES, VALUE_GRID
 
 EPS_CHOICES = (0.0, 0.0, 0.1, 0.25, 0.5, 1.0)
@@ -94,11 +96,25 @@ def row_counts(row):
     return (row.x, row.y, row.p, row.n_no_forecast)
 
 
+def reference_backtest(m, labels, selection, cfg):
+    """``_reference_rule.backtest`` of one configuration, read into plain lists."""
+    return ref.backtest(
+        list(m.years),
+        list(m.incidence),
+        list(labels.is_critical),
+        cfg.threshold.value,
+        [list(m.factor_values(name)) for name in selection.names],
+        cfg.rule.q,
+        cfg.eval_mode,
+        cfg.min_train_years,
+        cfg.min_train_critical,
+        cfg.widen_eps,
+    )
+
+
 def assert_same_backtest(m, labels, selection, cfg):
     fast = rolling_backtest(m, labels, selection, cfg)
-    slow = reference_backtest(m, labels, selection, cfg)
-    assert verdict_tuples(fast) == verdict_tuples(slow)
-    assert counts(fast) == counts(slow)
+    assert (verdict_tuples(fast), counts(fast)) == reference_backtest(m, labels, selection, cfg)
 
 
 @pytest.mark.parametrize("mode", EVAL_MODES)
@@ -137,7 +153,7 @@ def test_subset_sweep_rows_match_one_reference_backtest_each(data):
     for row in report.rows:
         subset = FactorSelection(tuple(row.configuration.split("+")))
         assert row.status == "ok"
-        assert row_counts(row) == counts(reference_backtest(m, labels, subset, cfg))
+        assert row_counts(row) == reference_backtest(m, labels, subset, cfg)[1]
 
 
 @settings(max_examples=150, deadline=None)
@@ -155,8 +171,7 @@ def test_quorum_sweep_rows_match_one_reference_backtest_each(data):
             cfg.eval_mode,
             cfg.widen_eps,
         )
-        expected = reference_backtest(m, labels, selection, cfg_q)
-        assert row_counts(row) == counts(expected)
+        assert row_counts(row) == reference_backtest(m, labels, selection, cfg_q)[1]
 
 
 def expected_row(m, labels, selection, cfg):
@@ -164,7 +179,7 @@ def expected_row(m, labels, selection, cfg):
     if labels.n_critical < cfg.min_train_critical:
         note = f"{labels.n_critical} critical years, {cfg.min_train_critical} required"
         return "skipped", (None, None, None, None), note
-    return "ok", counts(reference_backtest(m, labels, selection, cfg)), ""
+    return "ok", reference_backtest(m, labels, selection, cfg)[1], ""
 
 
 def assert_rows(report, expected):
@@ -328,8 +343,20 @@ def kernel_cases(draw, f_max=20, n_max=40):
 @pytest.mark.parametrize("mode", EVAL_MODES)
 @settings(max_examples=400, deadline=None)
 @given(case=kernel_cases())
-def test_kernel_matches_row_at_a_time_reference(mode, case):
+def test_kernel_matches_reference(mode, case):
     columns, critical, kwargs = case
-    assert membership_masks(columns, critical, mode, **kwargs) == reference_masks(
+    assert membership_masks(columns, critical, mode, **kwargs) == ref.masks(
         columns, critical, mode, **kwargs
     )
+
+
+def test_reference_imports_nothing_from_the_package():
+    source = Path(ref.__file__).read_text(encoding="utf-8")
+    imported = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            imported.append(node.module or "")
+    assert imported, "the guard found no import at all"
+    assert not [name for name in imported if name.split(".")[0] == "factorcast"]

@@ -23,7 +23,6 @@ from factorcast.matrix import TemporalMatrix
 from factorcast.recognizer import FactorInterval, IntervalProfile, membership_count, precision
 from factorcast.synth import oracle_evaluate
 
-from _reference_backtest import row_factors
 from _support import random_instance
 
 
@@ -62,8 +61,8 @@ class TestBuildProfile:
             profile = build_profile(m, labels, selection)
             for i, critical in enumerate(labels.is_critical):
                 if critical:
-                    count = membership_count(row_factors(m, i, m.factor_names), profile)
-                    assert count == selection.n_factors
+                    row = {name: m.factor_values(name)[i] for name in m.factor_names}
+                    assert membership_count(row, profile) == selection.n_factors
 
 
 class TestMembership:

@@ -222,6 +222,26 @@ class TestProfilePersistence:
                 json.dumps({"format": "factorcast-profile", "version": 1, "quorum": 0.5})
             )
 
+    # A misspelled interval key once loaded silently with its default (widen_eps 0).
+    @pytest.mark.parametrize(
+        "path, key, where",
+        [
+            (("profile", "intervals", 0), "widen_esp", "interval"),
+            ((), "quorom", "top-level"),
+            (("profile",), "n_critical", "profile"),
+        ],
+    )
+    def test_rejects_unknown_keys(self, path, key, where):
+        m, labels = fixture()
+        profile = build_profile(m, labels, FactorSelection(("f",)), widen_eps=0.5)
+        doc = json.loads(profile_to_json(profile, QuorumRule(0.75)))
+        target = doc
+        for parent in path:
+            target = target[parent]
+        target[key] = 0.5
+        with pytest.raises(ProfileError, match=f"unknown {where} key '{key}'"):
+            profile_from_json(json.dumps(doc))
+
     @pytest.mark.parametrize("version", [1.0, True, "1"])
     def test_rejects_a_version_that_only_equals_1(self, version):
         m, labels = fixture()
