@@ -155,6 +155,7 @@ def _column_masks(
     masks = [0] * n_rows
     for j, (col, a, b) in enumerate(zip(columns, lo, hi)):
         bit = 1 << j
+        # A new list per column: most cells hit, and `masks[k] |= bit` costs more per hit.
         masks = [m | bit if a <= v <= b else m for m, v in zip(masks, col)]
     return masks
 
@@ -200,10 +201,12 @@ def membership_masks(
         for j, col in enumerate(columns):
             bit = 1 << j
             seed = list(compress(col[:first], critical))
-            lo = min(seed, default=math.inf) - eps
-            hi = max(seed, default=-math.inf) + eps
+            # A conditional seeds an empty envelope: keyword min/max calls cost more per column.
+            lo = min(seed) - eps if seed else math.inf
+            hi = max(seed) + eps if seed else -math.inf
             # Score a row against the rows before it, then fold it in if critical.
-            for k, (v, c) in enumerate(zip(col[first:], tail)):
+            # Flat (k, v, c) tuples: a cell unpacks no nested tuple.
+            for k, v, c in zip(range(n_rows - first), col[first:], tail):
                 if lo <= v <= hi:
                     masks[k] |= bit
                 if c:

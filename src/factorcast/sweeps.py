@@ -102,8 +102,15 @@ def _grid_point_row(
         note = f"{n_critical} critical years, {cfg.min_train_critical} required"
         return _skipped_row(label, note)
     start = cfg.min_train_years if cfg.eval_mode == "rolling" else 0
-    kwargs = {"widen_eps": cfg.widen_eps, "start": start, "min_critical": cfg.min_train_critical}
-    counts = membership_counts(membership_masks(columns, critical, cfg.eval_mode, **kwargs))
+    masks = membership_masks(
+        columns,
+        critical,
+        cfg.eval_mode,
+        widen_eps=cfg.widen_eps,
+        start=start,
+        min_critical=cfg.min_train_critical,
+    )
+    counts = membership_counts(masks)
     return _ok_row(label, *score(counts, critical[start:], cfg.rule.required(len(columns))))
 
 

@@ -25,7 +25,12 @@ from factorcast import (
 )
 from factorcast.backtest import EVAL_MODES
 from factorcast.matrix import CriticalLabels, TemporalMatrix
-from factorcast.recognizer import FactorInterval, IntervalProfile, membership_masks
+from factorcast.recognizer import (
+    FactorInterval,
+    IntervalProfile,
+    build_profile,
+    membership_masks,
+)
 from factorcast.sweeps import (
     SweepSpec,
     lag_sweep,
@@ -34,6 +39,7 @@ from factorcast.sweeps import (
     subset_sweep,
     threshold_sensitivity,
 )
+from factorcast.synth import PlantSpec, generate
 
 import _reference_rule as ref
 from _support import QUORUM_CHOICES, VALUE_GRID
@@ -348,6 +354,34 @@ def test_kernel_matches_reference(mode, case):
     assert membership_masks(columns, critical, mode, **kwargs) == ref.masks(
         columns, critical, mode, **kwargs
     )
+
+
+# The hypothesis strategies stop at 40 rows; these cases run the kernel at the
+# benchmark's shapes: a backtest's n=140, F=12 and a saved profile's n=600, F=16.
+
+
+@pytest.mark.parametrize("mode", EVAL_MODES)
+@pytest.mark.parametrize("widen_eps", (0.0, 0.5))
+def test_kernel_matches_reference_at_140_rows_and_12_factors(mode, widen_eps):
+    m, _ = generate(PlantSpec(n_years=140, n_factors=12, noise_prob=0.1, n_adversarial=2, seed=7))
+    critical = label_critical(m, CriticalThreshold(10.0)).is_critical
+    assert 2 <= sum(critical) < m.n_years
+    columns = [m.factor_values(name) for name in m.factor_names]
+    kwargs = {"widen_eps": widen_eps, "start": 5, "min_critical": 2}
+    masks = membership_masks(columns, critical, mode, **kwargs)
+    assert masks == ref.masks(columns, critical, mode, **kwargs)
+    # Neither all hits nor all misses: the case tells the bits apart.
+    assert len({mask for mask in masks if mask is not None}) > 1
+
+
+def test_profile_masks_match_per_cell_contains_at_600_rows_and_16_factors():
+    m, _ = generate(PlantSpec(n_years=600, n_factors=16, noise_prob=0.1, n_adversarial=2, seed=5))
+    labels = label_critical(m, CriticalThreshold(10.0))
+    profile = build_profile(m, labels, FactorSelection.all_of(m), widen_eps=0.5)
+    columns = [m.factor_values(name) for name in profile.factor_names]
+    masks = membership_masks(columns, profile=profile)
+    assert masks == per_cell_masks(profile, columns)
+    assert len(set(masks)) > 1
 
 
 def test_reference_imports_nothing_from_the_package():

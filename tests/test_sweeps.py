@@ -68,6 +68,15 @@ class TestSubsetSweep:
             "a", "b", "c", "a+b", "a+c", "b+c", "a+b+c",
         ]
 
+    def test_order_is_by_name_tuple_with_labels_in_selection_order(self):
+        selection = FactorSelection(("c", "a", "b"))
+        report = subset_sweep(
+            THREE_FACTOR, LABELS, spec_for("factor_subset", selection=selection)
+        )
+        assert [row.configuration for row in report.rows] == [
+            "a", "b", "c", "a+b", "c+a", "c+b", "c+a+b",
+        ]
+
     def test_full_set_row_matches_direct_backtest(self):
         report = subset_sweep(THREE_FACTOR, LABELS, spec_for("factor_subset"))
         full = report.rows[-1]
