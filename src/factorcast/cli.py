@@ -17,6 +17,7 @@ import hashlib
 import math
 import os
 import sys
+from itertools import combinations
 from pathlib import Path
 
 from . import __version__
@@ -160,7 +161,7 @@ def build_parser() -> argparse.ArgumentParser:
     classify.add_argument("--profile", required=True, help="profile JSON written by fit")
     classify.add_argument("--format", choices=REPORT_FORMATS, default="text")
     classify.add_argument("--output", help="write the report here instead of stdout")
-    classify.set_defaults(func=cmd_classify)
+    classify.set_defaults(func=cmd_classify, usage_error=classify.error)
 
     backtest = commands.add_parser("backtest", help="replay recognition over the series")
     _add_common_flags(backtest, min_critical_floor=2)
@@ -172,7 +173,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=5,
         help="years required before the first rolling forecast (default 5)",
     )
-    backtest.set_defaults(func=cmd_backtest)
+    backtest.set_defaults(func=cmd_backtest, usage_error=backtest.error)
 
     sweep = commands.add_parser("sweep", help="vary one configuration axis over a grid")
     _add_common_flags(sweep, min_critical_floor=2)
@@ -206,9 +207,19 @@ def build_parser() -> argparse.ArgumentParser:
     synth.add_argument("--adversarial", type=_positive_int(0), default=0)
     synth.add_argument("--threshold", type=float, default=10.0, help="incidence threshold")
     synth.add_argument("--start-year", type=int, default=1990)
-    synth.set_defaults(func=cmd_synth)
+    synth.set_defaults(func=cmd_synth, usage_error=synth.error)
 
     return parser
+
+
+def _check_distinct_paths(args) -> None:
+    """Usage error when a path the command writes is the same file as another of its paths."""
+    # The flags a subcommand writes come before the ones it reads.
+    flags = ("output", "truth_output", "save_profile", "input", "profile")
+    named = [(flag, path) for flag in flags if (path := getattr(args, flag, None)) is not None]
+    for (first, a), (second, b) in combinations(named, 2):
+        if first not in ("input", "profile") and os.path.realpath(a) == os.path.realpath(b):
+            args.usage_error(f"--{first} and --{second} name the same file".replace("_", "-"))
 
 
 def _read_input(path: str) -> tuple[str, str]:
@@ -224,15 +235,17 @@ def _read_input(path: str) -> tuple[str, str]:
     return hashlib.sha256(raw).hexdigest(), text
 
 
+def _names(text: str, sep: str) -> tuple[str, ...]:
+    """The ``sep``-separated names in ``text``, stripped of surrounding spaces."""
+    return tuple(name.strip() for name in text.split(sep))
+
+
 def _setup(args, fixed_threshold: float | None = None):
     """Metadata, lagged ``--input`` matrix, selection, threshold (fixed if given) and labels."""
     digest, text = _read_input(args.input)
     m = parse_matrix(text)
-    if args.factors:
-        selection = FactorSelection(tuple(name.strip() for name in args.factors.split(",")))
-        selection.validate_against(m)
-    else:
-        selection = FactorSelection.all_of(m)
+    selection = FactorSelection(_names(args.factors, ",") if args.factors else m.factor_names)
+    selection.validate_against(m)
     if args.lag:
         m = apply_uniform_lag(m, selection.names, args.lag)
     if fixed_threshold is not None:
@@ -345,11 +358,13 @@ def _parse_grid(args) -> tuple | None:
     if args.axis == "factor_subset":
         if raw == "all":
             return None
-        grid = tuple(tuple(n.strip() for n in part.split("+")) for part in raw.split(","))
+        grid = tuple(_names(part, "+") for part in raw.split(","))
         if not all(map(all, grid)):
             args.usage_error(f"empty factor name in --grid {raw!r}")
         if any(len(set(subset)) < len(subset) for subset in grid):
             args.usage_error(f"repeated factor name in one subset of --grid {raw!r}")
+        if args.factors and not set().union(*grid) <= set(_names(args.factors, ",")):
+            args.usage_error(f"--grid names a factor that --factors {args.factors!r} does not list")
         return grid
     values = [part.strip() for part in raw.split(",") if part.strip()]
     if not values:
@@ -414,11 +429,7 @@ def cmd_synth(args) -> int:
     )
     matrix, truth = generate(spec)
     output = Path(args.output)
-    truth_path = (
-        Path(args.truth_output)
-        if args.truth_output
-        else output.with_name(output.stem + "_truth.csv")
-    )
+    truth_path = Path(args.truth_output or output.with_name(output.stem + "_truth.csv"))
     output.write_text(matrix.to_csv(), encoding="utf-8", newline="")
     truth_path.write_text(truth.to_csv(), encoding="utf-8", newline="")
     sys.stdout.write(
@@ -430,6 +441,7 @@ def cmd_synth(args) -> int:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    _check_distinct_paths(args)
     try:
         return args.func(args)
     except (FactorcastError, OSError) as exc:

@@ -1,4 +1,4 @@
-"""Synthetic annual datasets with planted interval rules, plus a brute-force oracle.
+"""Synthetic annual datasets with planted interval rules.
 
 The generator plants a per-factor value interval that critical years hit and
 non-critical years miss, then optionally corrupts the picture: per-cell noise
@@ -14,10 +14,6 @@ Determinism: generation is a pure function of the spec. Randomness comes from
 ``random.Random(seed)`` (CPython's Mersenne Twister) with a fixed draw order:
 planted intervals per factor, then the critical-year sample, then row-major
 cell draws (incidence first, then each factor).
-
-:func:`oracle_evaluate` re-derives intervals, memberships, and the x / y / p
-counts with direct exhaustive loops, deliberately sharing no helper code with
-the recognizer module, so the two paths cross-check each other.
 """
 
 from __future__ import annotations
@@ -26,9 +22,9 @@ import math
 import random
 from typing import Iterable, NamedTuple
 
-from .errors import InvalidSpec, NoCriticalYears, UnknownFactor
-from .matrix import CriticalLabels, FactorSelection, Frozen, TemporalMatrix
-from .recognizer import FactorInterval, QuorumRule, RecognitionResult
+from .errors import InvalidSpec
+from .matrix import Frozen, TemporalMatrix
+from .recognizer import FactorInterval
 
 AMBIENT_LO = 0.0
 AMBIENT_HI = 100.0
@@ -231,61 +227,3 @@ def generate(spec: PlantSpec) -> tuple[TemporalMatrix, GroundTruth]:
     truth = GroundTruth(years, is_critical, truth_intervals, spec.lag_shift)
     return matrix, truth
 
-
-def oracle_evaluate(
-    m: TemporalMatrix,
-    labels: CriticalLabels,
-    selection: FactorSelection,
-    rule: QuorumRule,
-    widen_eps: float = 0.0,
-) -> RecognitionResult:
-    """Brute-force re-derivation of the in-sample recognition result.
-
-    Scans the matrix with plain loops: envelope bounds from the critical
-    years, per-year membership counts, the quorum requirement, and the
-    x / y / p tally. Intentionally calls none of the recognizer's functions
-    so it can serve as an independent check of them.
-    """
-    if labels.years != m.years:
-        raise ValueError("labels were built for a different set of years")
-    names = tuple(selection.names)
-    for name in names:
-        if name not in m.columns:
-            raise UnknownFactor(name)
-
-    critical_rows = [i for i in range(len(m.years)) if labels.is_critical[i]]
-    if not critical_rows:
-        raise NoCriticalYears()
-
-    bounds: dict[str, tuple[float, float]] = {}
-    for name in names:
-        column = m.columns[name]
-        lo = hi = column[critical_rows[0]]
-        for i in critical_rows[1:]:
-            if column[i] < lo:
-                lo = column[i]
-            if column[i] > hi:
-                hi = column[i]
-        bounds[name] = (lo, hi)
-
-    needed = math.ceil(rule.q * len(names))
-    flagged: list[int] = []
-    memberships: dict[int, int] = {}
-    x = 0
-    y = 0
-    for i, year in enumerate(m.years):
-        count = 0
-        for name in names:
-            value = m.columns[name][i]
-            lo, hi = bounds[name]
-            if lo - widen_eps <= value <= hi + widen_eps:
-                count += 1
-        memberships[year] = count
-        if count >= needed:
-            flagged.append(year)
-            if labels.is_critical[i]:
-                x += 1
-            else:
-                y += 1
-    p = None if x + y == 0 else x / (x + y)
-    return RecognitionResult(tuple(flagged), x, y, p, memberships)

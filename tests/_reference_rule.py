@@ -1,4 +1,4 @@
-"""The envelope rule in plain loops over plain lists, for the kernel, backtest and sweep tests.
+"""The envelope rule in plain loops over plain lists, the one oracle the tests compare with.
 
 Nothing here comes from ``factorcast``. Each row's envelope is recomputed
 from scratch over the rows that train it, with no running min/max and no
@@ -53,6 +53,30 @@ def masks(columns, critical, mode, widen_eps=0.0, start=0, min_critical=1):
                 mask |= 1 << j
         result.append(mask)
     return result
+
+
+def recognize(years, flags, columns, q, widen_eps=0.0):
+    """In-sample recognition: ``(flagged_years, x, y, p, per_year_membership)``.
+
+    Every row is scored against the envelopes of all rows in ``flags`` (at
+    least one), and flagged when its membership reaches ``ceil(q * F)`` of
+    its F factors. The tuple compares equal to the package's
+    ``RecognitionResult``.
+    """
+    required = math.ceil(q * len(columns))
+    membership = {}
+    flagged = []
+    x = y = 0
+    for year, truth, mask in zip(years, flags, masks(columns, flags, "in_sample", widen_eps)):
+        membership[year] = bin(mask).count("1")
+        if membership[year] >= required:
+            flagged.append(year)
+            if truth:
+                x += 1
+            else:
+                y += 1
+    p = x / (x + y) if x + y else None
+    return tuple(flagged), x, y, p, membership
 
 
 def backtest(

@@ -15,6 +15,8 @@ from pathlib import Path
 from factorcast import CriticalThreshold, FactorSelection, QuorumRule, label_critical
 from factorcast.matrix import CriticalLabels, TemporalMatrix
 
+import _reference_rule
+
 FIXTURES = Path(__file__).parent / "fixtures"
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -57,6 +59,17 @@ def random_instance(
     labels = label_critical(m, threshold)
     rule = QuorumRule(rng.choice(QUORUM_CHOICES))
     return m, labels, FactorSelection(m.factor_names), rule
+
+
+def reference_recognize(m, labels, selection, rule, widen_eps=0.0):
+    """``_reference_rule.recognize`` of one instance, read into plain lists."""
+    return _reference_rule.recognize(
+        list(m.years),
+        list(labels.is_critical),
+        [list(m.factor_values(name)) for name in selection.names],
+        rule.q,
+        widen_eps,
+    )
 
 
 # --- CLI golden machinery -------------------------------------------------

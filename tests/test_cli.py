@@ -411,7 +411,14 @@ class TestBadInput:
         "subset_grid_repeated_name": [
             "sweep", "--threshold", "8", "--axis", "factor_subset", "--grid", "may_temp+may_temp"
         ],
+        "subset_grid_outside_factors": [
+            "sweep", "--threshold", "8", "--factors", "may_temp", "--lag", "2",
+            "--axis", "factor_subset", "--grid", "may_temp,f02,may_temp+f02",
+        ],
         "fit_select_threshold_min_critical_1": ["fit", "--select-threshold", "--min-critical", "1"],
+        "fit_output_is_save_profile": [
+            "fit", "--threshold", "8", "--output", "r.txt", "--save-profile", "./r.txt"
+        ],
     }
 
     @pytest.mark.parametrize("case", CROSS_FLAG_CASES)
@@ -424,6 +431,24 @@ class TestBadInput:
             stderr = capsys.readouterr().err
             assert stderr.startswith(f"usage: factorcast {command} ")
             assert stderr.splitlines()[-1].startswith(f"factorcast {command}: error: ")
+
+    # A path a command writes may not be the same file as another of its paths.
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["synth", "--output", "a.csv", "--truth-output", "./a.csv"],
+            ["fit", "--input", "data.csv", "--threshold", "8", "--output", "data.csv"],
+        ],
+    )
+    def test_clashing_paths_are_usage_error(self, tmp_path, monkeypatch, capsys, argv):
+        monkeypatch.chdir(tmp_path)
+        shutil.copy(FIXTURES / "worked_example.csv", "data.csv")
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 1
+        assert capsys.readouterr().err.startswith(f"usage: factorcast {argv[0]} ")
+        assert os.listdir() == ["data.csv"]
+        assert Path("data.csv").read_bytes() == WORKED_EXAMPLE
 
     # One cell over the csv module's default 131072-character field limit.
     HUGE_CELL = "1" * 131073

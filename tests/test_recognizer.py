@@ -21,9 +21,7 @@ from factorcast.errors import (
 )
 from factorcast.matrix import TemporalMatrix
 from factorcast.recognizer import FactorInterval, IntervalProfile, membership_count, precision
-from factorcast.synth import oracle_evaluate
-
-from _support import random_instance
+from _support import random_instance, reference_recognize
 
 
 def labeled(incidence, threshold, **columns):
@@ -146,8 +144,7 @@ class TestEvaluate:
         result = evaluate_insample(m, labels, profile, QuorumRule(1.0))
         assert (result.x, result.y, result.p) == (3, 1, 0.75)
         assert result.flagged_years == (2000, 2002, 2004, 2005)
-        oracle = oracle_evaluate(m, labels, selection, QuorumRule(1.0))
-        assert oracle == result
+        assert result == reference_recognize(m, labels, selection, QuorumRule(1.0))
 
     def test_recall_by_construction(self):
         rng = random.Random(11)

@@ -1,4 +1,4 @@
-"""Synthetic generator determinism, planted structure, and oracle parity."""
+"""Synthetic generator determinism and planted structure; in-sample parity with the reference."""
 
 import random
 
@@ -14,11 +14,11 @@ from factorcast import (
     evaluate_insample,
     label_critical,
 )
-from factorcast.errors import InvalidSpec, NoCriticalYears
-from factorcast.synth import AMBIENT_HI, AMBIENT_LO, MAX_CELLS, PlantSpec, generate, oracle_evaluate
+from factorcast.errors import InvalidSpec
+from factorcast.synth import AMBIENT_HI, AMBIENT_LO, MAX_CELLS, PlantSpec, generate
 
 import _reference_synth as ref
-from _support import random_instance
+from _support import random_instance, reference_recognize
 
 
 class TestGenerate:
@@ -62,10 +62,10 @@ class TestGenerate:
         m, truth = generate(spec)
         labels = label_critical(m, CriticalThreshold(spec.incidence_threshold))
         selection = FactorSelection.all_of(m)
-        result = oracle_evaluate(m, labels, selection, QuorumRule(1.0))
-        assert result.x == labels.n_critical
-        assert result.y == 0
-        assert result.p == 1.0
+        _, x, y, p, _ = reference_recognize(m, labels, selection, QuorumRule(1.0))
+        assert x == labels.n_critical
+        assert y == 0
+        assert p == 1.0
 
     def test_adversarial_columns_ignore_criticality(self):
         spec = PlantSpec(seed=4, n_factors=3, n_adversarial=1)
@@ -194,6 +194,8 @@ class TestSpecValidation:
 
 
 class TestOracle:
+    """``evaluate_insample`` against the in-sample mode of ``_reference_rule``."""
+
     def test_worked_example(self):
         from factorcast.matrix import TemporalMatrix
 
@@ -204,8 +206,8 @@ class TestOracle:
             {"f": (5.0, 4.0, 6.0, 1.0, 7.0, 5.5)},
         )
         labels = label_critical(m, CriticalThreshold(8.0))
-        result = oracle_evaluate(m, labels, FactorSelection(("f",)), QuorumRule(1.0))
-        assert (result.x, result.y, result.p) == (3, 1, 0.75)
+        result = reference_recognize(m, labels, FactorSelection(("f",)), QuorumRule(1.0))
+        assert result[:4] == ((2001, 2003, 2005, 2006), 3, 1, 0.75)
 
     def test_matches_recognizer_on_random_instances(self):
         rng = random.Random(97)
@@ -213,17 +215,7 @@ class TestOracle:
             m, labels, selection, rule = random_instance(rng)
             profile = build_profile(m, labels, selection)
             fast = evaluate_insample(m, labels, profile, rule)
-            brute = oracle_evaluate(m, labels, selection, rule)
-            assert fast == brute
-
-    def test_guard_parity_on_zero_criticals(self):
-        rng = random.Random(5)
-        m, _, selection, rule = random_instance(rng)
-        labels = label_critical(m, CriticalThreshold(max(m.incidence) + 1))
-        with pytest.raises(NoCriticalYears):
-            build_profile(m, labels, selection)
-        with pytest.raises(NoCriticalYears):
-            oracle_evaluate(m, labels, selection, rule)
+            assert fast == reference_recognize(m, labels, selection, rule)
 
     def test_widen_eps_parity(self):
         rng = random.Random(41)
@@ -232,5 +224,4 @@ class TestOracle:
             eps = rng.choice([0.0, 0.25, 1.0])
             profile = build_profile(m, labels, selection, widen_eps=eps)
             fast = evaluate_insample(m, labels, profile, rule)
-            brute = oracle_evaluate(m, labels, selection, rule, widen_eps=eps)
-            assert fast == brute
+            assert fast == reference_recognize(m, labels, selection, rule, eps)
