@@ -12,12 +12,11 @@ from __future__ import annotations
 
 import math
 from functools import partial
-from itertools import compress
 from typing import Literal, NamedTuple, Sequence
 
 from .errors import InsufficientYears
 from .matrix import CriticalLabels, CriticalThreshold, FactorSelection, Frozen, TemporalMatrix
-from .recognizer import QuorumRule, check_labels, membership_masks, precision
+from .recognizer import Lanes, QuorumRule, check_labels, membership_lanes, precision
 
 EvalMode = Literal["rolling", "leave_one_out", "in_sample"]
 
@@ -53,12 +52,7 @@ class BacktestConfig(Frozen):
             raise ValueError(f"eval_mode must be one of {EVAL_MODES}")
         if not 0 <= widen_eps < math.inf:
             raise ValueError("widen_eps must be finite and non-negative")
-        object.__setattr__(self, "rule", rule)
-        object.__setattr__(self, "threshold", threshold)
-        object.__setattr__(self, "min_train_years", min_train_years)
-        object.__setattr__(self, "min_train_critical", min_train_critical)
-        object.__setattr__(self, "eval_mode", eval_mode)
-        object.__setattr__(self, "widen_eps", widen_eps)
+        self._set(rule, threshold, min_train_years, min_train_critical, eval_mode, widen_eps)
 
 
 class Verdict(NamedTuple):
@@ -114,45 +108,39 @@ def threshold_value(labels: CriticalLabels, cfg: BacktestConfig) -> float:
     return labels.threshold.value
 
 
-def evaluation_masks(
-    m: TemporalMatrix,
-    labels: CriticalLabels,
-    names: Sequence[str],
-    cfg: BacktestConfig,
-) -> tuple[list[int | None], tuple[bool, ...]]:
-    """Kernel masks of the years ``cfg.eval_mode`` evaluates, and their truth.
-
-    Bit j of a mask stands for ``names[j]``; a None mask is a ``no_forecast``.
-    Rolling training relabels the series from ``labels.threshold``, while the
-    truth of every year is read from ``labels``.
-    """
-    check_labels(m, labels)
-    value = threshold_value(labels, cfg)
-    rolling = cfg.eval_mode == "rolling"
-    start = cfg.min_train_years if rolling else 0
-    masks = membership_masks(
-        [m.factor_values(name) for name in names],
-        tuple(v >= value for v in m.incidence) if rolling else labels.is_critical,
+def config_lanes(
+    columns: Sequence[Sequence[float]], critical: Sequence[bool], cfg: BacktestConfig
+) -> Lanes:
+    """The kernel in ``cfg``'s mode trained on ``critical`` (rolling skips ``min_train_years``)."""
+    start = cfg.min_train_years if cfg.eval_mode == "rolling" else 0
+    return membership_lanes(
+        columns,
+        critical,
         cfg.eval_mode,
         widen_eps=cfg.widen_eps,
         start=start,
         min_critical=cfg.min_train_critical,
     )
-    return masks, labels.is_critical[start:]
 
 
-def membership_counts(masks: Sequence[int | None]) -> list[int | None]:
-    """Each kernel mask's number of envelope hits; a None mask (``no_forecast``) stays None."""
-    return [None if mask is None else mask.bit_count() for mask in masks]
+def evaluation_lanes(
+    m: TemporalMatrix,
+    labels: CriticalLabels,
+    names: Sequence[str],
+    cfg: BacktestConfig,
+) -> tuple[Lanes, tuple[bool, ...]]:
+    """Kernel lanes of the years ``cfg.eval_mode`` evaluates, and their truth.
 
-
-def score(
-    counts: Sequence[int | None], truth: Sequence[bool], required: int
-) -> tuple[int, int, int]:
-    """``(x, y, n_no_forecast)`` of per-row membership counts against a quorum requirement."""
-    flagged = [count is not None and count >= required for count in counts]
-    x = sum(compress(truth, flagged))
-    return x, sum(flagged) - x, counts.count(None)
+    ``lanes.factors[j]`` stands for ``names[j]``; an unscored row is a
+    ``no_forecast``. Rolling training relabels the series from
+    ``labels.threshold``, while the truth of every year is read from ``labels``.
+    """
+    check_labels(m, labels)
+    value = threshold_value(labels, cfg)
+    rolling = cfg.eval_mode == "rolling"
+    critical = tuple(v >= value for v in m.incidence) if rolling else labels.is_critical
+    lanes = config_lanes([m.factor_values(name) for name in names], critical, cfg)
+    return lanes, labels.is_critical[m.n_years - lanes.rows :]
 
 
 # Builds a Verdict from one (year, prediction, membership, truth) tuple. Verdict._make
@@ -184,20 +172,21 @@ def rolling_backtest(
     Every mode is one pass of the membership kernel over each factor column,
     so a backtest costs O(n·F) for n years and F factors: rolling keeps a
     running min/max per factor instead of rebuilding the prefix at each
-    origin, and leave-one-out patches the in-sample bits of the critical
-    years that sit alone on an envelope edge. The kernel's masks become
-    per-year membership counts; each count against the quorum requirement
-    gives the year's prediction, and the counts are scored once for x, y
-    and the ``no_forecast`` total.
+    origin, and leave-one-out patches the in-sample lanes of the critical
+    years that sit alone on an envelope edge. The factors' lanes are summed
+    once; one SWAR step against the quorum requirement gives x, y and the
+    ``no_forecast`` total, and the sum's lanes unpack into the per-year
+    membership counts of the verdicts.
     """
-    masks, truth = evaluation_masks(m, labels, selection.names, cfg)
+    lanes, truth = evaluation_lanes(m, labels, selection.names, cfg)
     required = cfg.rule.required(selection.n_factors)
-    years = m.years[m.n_years - len(masks) :]
-    counts = membership_counts(masks)
+    years = m.years[m.n_years - lanes.rows :]
+    total = sum(lanes.factors)
+    counts = lanes.counts(total)
     predictions = [
         "no_forecast" if count is None else "critical" if count >= required else "non_critical"
         for count in counts
     ]
     verdicts = tuple(map(_verdict, zip(years, predictions, counts, truth)))
-    x, y, n_no_forecast = score(counts, truth, required)
+    x, y, n_no_forecast = lanes.score(total, lanes.lane(truth), required)
     return BacktestResult(verdicts, x, y, precision(x, y), n_no_forecast)

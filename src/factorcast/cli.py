@@ -31,7 +31,7 @@ from .matrix import (
     parse_matrix,
     read_columns,
 )
-from .recognizer import QuorumRule, build_profile, evaluate_insample, membership_masks
+from .recognizer import QuorumRule, build_profile, evaluate_insample, membership_lanes
 from .report import (
     REPORT_FORMATS,
     backtest_report,
@@ -84,6 +84,12 @@ def _positive_int(minimum: int):
     return convert
 
 
+def _factor_list(text: str) -> str:
+    if not all(_names(text, ",")):
+        raise argparse.ArgumentTypeError(f"empty factor name in {text!r}")
+    return text
+
+
 def _nonnegative_float(text: str) -> float:
     try:
         value = float(text)
@@ -118,7 +124,9 @@ def _add_common_flags(sub: argparse.ArgumentParser, min_critical_floor: int) -> 
         default=0.75,
         help="fraction of factor intervals a year must hit; accepts 0.75 or 75%% (default 0.75)",
     )
-    sub.add_argument("--factors", help="comma-separated factor columns (default: all)")
+    sub.add_argument(
+        "--factors", type=_factor_list, help="comma-separated factor columns (default: all)"
+    )
     sub.add_argument(
         "--lag",
         type=_positive_int(0),
@@ -316,8 +324,8 @@ def cmd_classify(args) -> int:
 
     digest, text = _read_input(args.input)
     _, years, columns = read_columns(text, ("year",), profile.factor_names, distinct_years=True)
-    masks = membership_masks(columns, profile=profile)
-    scored = tuple((year, mask.bit_count()) for year, mask in zip(years, masks))
+    lanes = membership_lanes(columns, profile=profile)
+    scored = tuple(zip(years, lanes.counts(sum(lanes.factors))))
     metadata = {
         "tool": "factorcast",
         "version": __version__,

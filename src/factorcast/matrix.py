@@ -50,13 +50,17 @@ class Frozen:
 
     Values compare and hash by their fields and repr as
     ``Name(field=value, ...)``. A subclass's ``__init__`` validates its
-    arguments and stores each field with ``object.__setattr__``; assignment
-    and deletion raise ``AttributeError``. Pickling and copying call the
-    constructor again with the fields, so a copy is validated like the
-    original.
+    arguments and stores the fields with ``_set``; assignment and deletion
+    raise ``AttributeError``. Pickling and copying call the constructor again
+    with the fields, so a copy is validated like the original.
     """
 
     __slots__ = ()
+
+    def _set(self, *values) -> None:
+        """Store ``values`` as the fields, in ``__slots__`` order; for ``__init__`` only."""
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
 
     def _fields(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__slots__)
@@ -101,12 +105,10 @@ class TemporalMatrix(Frozen):
         factor_names: Iterable[str],
         columns: Mapping[str, Iterable[float]],
     ):
-        object.__setattr__(self, "years", tuple(map(int, years)))
-        object.__setattr__(self, "incidence", tuple(map(float, incidence)))
-        object.__setattr__(self, "factor_names", tuple(factor_names))
-        object.__setattr__(
-            self,
-            "columns",
+        self._set(
+            tuple(map(int, years)),
+            tuple(map(float, incidence)),
+            tuple(factor_names),
             MappingProxyType({name: tuple(map(float, col)) for name, col in columns.items()}),
         )
         self._validate()
@@ -128,12 +130,8 @@ class TemporalMatrix(Frozen):
                     raise MatrixError("years must be strictly increasing")
         if not self.factor_names:
             raise NoFactors()
-        seen = set()
-        for name in self.factor_names:
-            if name in seen:
-                raise DuplicateFactor(name)
-            seen.add(name)
-        if set(self.columns) != seen:
+        FactorSelection(self.factor_names)  # DuplicateFactor on a repeated name
+        if set(self.columns) != set(self.factor_names):
             raise MatrixError("factor columns do not match factor names")
         n = len(years)
         if len(self.incidence) != n:
@@ -203,8 +201,7 @@ class CriticalThreshold(Frozen):
             raise InvalidThreshold(value)
         if source not in ("expert", "selected"):
             raise MatrixError(f"threshold source must be 'expert' or 'selected', got {source!r}")
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "source", source)
+        self._set(value, source)
 
 
 class CriticalLabels(Frozen):
@@ -219,9 +216,7 @@ class CriticalLabels(Frozen):
         is_critical = tuple(map(bool, is_critical))
         if len(years) != len(is_critical):
             raise MatrixError("labels length does not match years")
-        object.__setattr__(self, "years", years)
-        object.__setattr__(self, "is_critical", is_critical)
-        object.__setattr__(self, "threshold", threshold)
+        self._set(years, is_critical, threshold)
 
     @property
     def n_critical(self) -> int:
@@ -237,12 +232,9 @@ class FactorSelection(Frozen):
         names = tuple(names)
         if not names:
             raise EmptySelection()
-        seen = set()
-        for name in names:
-            if name in seen:
-                raise DuplicateFactor(name)
-            seen.add(name)
-        object.__setattr__(self, "names", names)
+        if len(set(names)) < len(names):
+            raise DuplicateFactor(next(n for i, n in enumerate(names) if n in names[:i]))
+        self._set(names)
 
     @property
     def n_factors(self) -> int:

@@ -7,10 +7,12 @@ a quorum of the envelopes. A flagged year that is truly critical counts
 toward ``x``, a flagged non-critical ("false critical") year toward ``y``,
 and recognition precision is ``p = x / (x + y)``.
 
-Every evaluation path reads one kernel, :func:`membership_masks`: per year an
-``int`` whose bit j is set when factor j's value lies inside its envelope, so
-a factor subset scores ``(mask & subset_bits).bit_count()`` against a quorum.
-Every mode walks the matrix one factor column at a time.
+Every evaluation path reads one kernel, :func:`membership_lanes`: per factor
+an ``int`` made of one byte lane per year (wider past 127 factors), 1 where
+the year lies inside the factor's envelope. Summing a subset's ints counts
+every year's hits at once, and one add-and-mask step (SWAR, SIMD within a
+register) compares every count with the quorum. Every mode walks the matrix
+one factor column at a time.
 
 All functions are pure; many (profile, rule) configurations can be evaluated
 concurrently over the same matrix without coordination.
@@ -23,13 +25,7 @@ from bisect import bisect_left
 from itertools import accumulate, compress
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .errors import (
-    DuplicateFactor,
-    InvalidQuorum,
-    LabelMismatch,
-    MissingFactorValue,
-    NoCriticalYears,
-)
+from .errors import InvalidQuorum, LabelMismatch, MissingFactorValue, NoCriticalYears
 from .matrix import CriticalLabels, FactorSelection, Frozen, TemporalMatrix
 
 
@@ -52,10 +48,7 @@ class FactorInterval(Frozen):
             raise ValueError(f"interval for {factor!r} has lo > hi")
         if widen_eps < 0:
             raise ValueError("widen_eps must be non-negative")
-        object.__setattr__(self, "factor", factor)
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
-        object.__setattr__(self, "widen_eps", widen_eps)
+        self._set(factor, lo, hi, widen_eps)
 
 
 class IntervalProfile(Frozen):
@@ -69,13 +62,8 @@ class IntervalProfile(Frozen):
             raise ValueError("profile must contain at least one interval")
         if n_critical_train < 1:
             raise ValueError("profile must be trained on at least one critical year")
-        seen = set()
-        for interval in intervals:
-            if interval.factor in seen:
-                raise DuplicateFactor(interval.factor)
-            seen.add(interval.factor)
-        object.__setattr__(self, "intervals", intervals)
-        object.__setattr__(self, "n_critical_train", n_critical_train)
+        FactorSelection(interval.factor for interval in intervals)  # DuplicateFactor on a repeat
+        self._set(intervals, n_critical_train)
 
     @property
     def factor_names(self) -> tuple[str, ...]:
@@ -99,7 +87,7 @@ class QuorumRule(Frozen):
         q = float(q)
         if not (0.0 < q <= 1.0):
             raise InvalidQuorum(q)
-        object.__setattr__(self, "q", q)
+        self._set(q)
 
     def required(self, n_factors: int) -> int:
         if n_factors < 1:
@@ -148,19 +136,58 @@ def build_profile(
     return IntervalProfile(tuple(intervals), len(critical_idx))
 
 
-def _column_masks(
-    columns: Sequence[Sequence[float]], n_rows: int, lo: Sequence[float], hi: Sequence[float]
-) -> list[int]:
-    """Masks of ``n_rows`` rows against fixed envelopes, one pass per factor column."""
-    masks = [0] * n_rows
-    for j, (col, a, b) in enumerate(zip(columns, lo, hi)):
-        bit = 1 << j
-        # A new list per column: most cells hit, and `masks[k] |= bit` costs more per hit.
-        masks = [m | bit if a <= v <= b else m for m, v in zip(masks, col)]
-    return masks
+def _to_lane(cells: bytes | bytearray, width: int) -> int:
+    """The int whose row k lane holds ``cells[k]``."""
+    if width > 1:
+        wide = bytearray(len(cells) * width)
+        wide[::width] = cells
+        cells = wide
+    return int.from_bytes(cells, "little")
 
 
-def membership_masks(
+class Lanes(NamedTuple):
+    """The kernel's ints, made of one ``width``-byte lane per row (row k's at bit 8·width·k).
+
+    ``factors[j]`` holds 1 in the lane of each row inside factor j's envelope,
+    ``scored`` in the lane of each row that has an envelope (others are
+    ``no_forecast``), ``ones`` in every lane. Summed factor lanes count each
+    row's hits in its own lane; with F factors, ``width`` is the smallest w
+    with F < 2**(8w - 1), so no count carries into the next lane.
+    """
+
+    factors: list[int]
+    scored: int
+    ones: int
+    width: int
+    rows: int
+
+    def lane(self, flags: Sequence[bool]) -> int:
+        """1 in the lane of every row whose flag is true."""
+        return _to_lane(bytes(flags), self.width)
+
+    def counts(self, total: int) -> list[int | None]:
+        """Each row's value in a sum of lanes; None for a row without an envelope."""
+        w, size = self.width, self.rows * self.width
+        raw = total.to_bytes(size, "little")
+        if w > 1:
+            raw = [int.from_bytes(raw[i : i + w], "little") for i in range(0, size, w)]
+        scored = self.scored.to_bytes(size, "little")[::w]
+        return [count if s else None for count, s in zip(raw, scored)]
+
+    def score(self, total: int, truth: int, required: int) -> tuple[int, int, int]:
+        """``(x, y, n_no_forecast)`` of a lane sum against a quorum, in one SWAR step.
+
+        Adding ``2**(8w - 1) - required`` (``required`` at least 1) to a lane sets
+        its top bit exactly when its count reaches ``required``. ``truth`` is a
+        :meth:`lane` of the critical rows.
+        """
+        top = 8 * self.width - 1
+        hits = (total + ((1 << top) - required) * self.ones) & (self.scored << top)
+        x = (hits & (truth << top)).bit_count()
+        return x, hits.bit_count() - x, self.rows - self.scored.bit_count()
+
+
+def membership_lanes(
     columns: Sequence[Sequence[float]],
     critical: Sequence[bool] = (),
     mode: str = "in_sample",
@@ -169,17 +196,18 @@ def membership_masks(
     widen_eps: float = 0.0,
     start: int = 0,
     min_critical: int = 1,
-) -> list[int | None]:
-    """The membership kernel: one bitmask per row, or None where no envelope exists.
+) -> Lanes:
+    """The membership kernel: one lane int per factor column, and the scored rows.
 
-    Bit j of a row's mask is set when the row's value in ``columns[j]`` lies
-    inside factor j's envelope widened by ``widen_eps``; None (nothing to
-    test against) is a ``no_forecast``. Envelopes span ``critical`` rows:
+    Row k's lane in ``factors[j]`` is 1 when its value in ``columns[j]`` lies
+    inside factor j's envelope widened by ``widen_eps``; a row missing from
+    ``scored`` has nothing to test against and is a ``no_forecast``.
+    Envelopes span ``critical`` rows:
 
     - rolling: those before the row, as a running min/max. Rows before
-      ``start`` get no entry; None while fewer than ``min_critical`` precede.
-    - leave_one_out: all but the row itself; None for a lone critical row.
-    - in_sample: all of them; None for every row when there is none.
+      ``start`` get no lane; unscored while fewer than ``min_critical`` precede.
+    - leave_one_out: all but the row itself; unscored for a lone critical row.
+    - in_sample: all of them; every row unscored when there is none.
 
     A ``profile`` fixes the envelopes to its intervals instead, whatever the
     mode. Every mode is one pass per factor column and costs O(n·F) for n
@@ -187,56 +215,64 @@ def membership_masks(
     critical values).
     """
     n_rows = len(columns[0]) if columns else 0
-    if profile is not None:
-        lo = [iv.lo - iv.widen_eps for iv in profile.intervals]
-        hi = [iv.hi + iv.widen_eps for iv in profile.intervals]
-        return _column_masks(columns, n_rows, lo, hi)
+    w = (len(columns).bit_length() + 8) // 8  # the smallest w with F < 2**(8w - 1)
+    rolling = profile is None and mode == "rolling"
+    rows = max(n_rows - start, 0) if rolling else n_rows
+    ones = _to_lane(b"\x01" * rows, w)
     eps = float(widen_eps)
-    if mode == "rolling":
+    if rolling:
         # The first scored row has min_critical critical rows before it.
         before = list(accumulate(critical, initial=0))
-        first = min(max(start, bisect_left(before, min_critical)), n_rows)
+        first = max(start, bisect_left(before, min_critical))
+        skip = 8 * w * (first - start)
         tail = critical[first:n_rows]
-        masks = [0] * (n_rows - first)
-        for j, col in enumerate(columns):
-            bit = 1 << j
+        lanes = []
+        for col in columns:
             seed = list(compress(col[:first], critical))
             # A conditional seeds an empty envelope: keyword min/max calls cost more per column.
             lo = min(seed) - eps if seed else math.inf
             hi = max(seed) + eps if seed else -math.inf
+            buf = bytearray(len(tail))
             # Score a row against the rows before it, then fold it in if critical.
             # Flat (k, v, c) tuples: a cell unpacks no nested tuple.
-            for k, v, c in zip(range(n_rows - first), col[first:], tail):
+            for k, v, c in zip(range(len(tail)), col[first:], tail):
                 if lo <= v <= hi:
-                    masks[k] |= bit
+                    buf[k] = 1
                 if c:
                     if v - eps < lo:
                         lo = v - eps
                     if v + eps > hi:
                         hi = v + eps
-        return [None] * (first - start) + masks  # [] when start > n_rows
-    if mode not in ("leave_one_out", "in_sample"):
+            lanes.append(_to_lane(buf, w) << skip)
+        return Lanes(lanes, ones >> skip << skip, ones, w, rows)
+    if profile is not None:
+        lo = [iv.lo - iv.widen_eps for iv in profile.intervals]
+        hi = [iv.hi + iv.widen_eps for iv in profile.intervals]
+    elif mode in ("leave_one_out", "in_sample"):
+        train = [list(compress(col, critical)) for col in columns]
+        if not train or not train[0]:
+            return Lanes([0] * len(columns), 0, ones, w, rows)
+        ranked = [sorted(values) for values in train]
+        lo, hi = [s[0] - eps for s in ranked], [s[-1] + eps for s in ranked]
+    else:
         raise ValueError(f"unknown evaluation mode {mode!r}")
-    train = [list(compress(col, critical)) for col in columns]
-    if not train or not train[0]:
-        return [None] * n_rows
-    ranked = [sorted(values) for values in train]
-    masks = _column_masks(
-        columns, n_rows, [s[0] - eps for s in ranked], [s[-1] + eps for s in ranked]
-    )
-    if mode == "leave_one_out":
+    # 1 and 0 rather than bools: bytes() converts small ints faster.
+    lanes = [
+        _to_lane(bytes([1 if a <= v <= b else 0 for v in col]), w)
+        for col, a, b in zip(columns, lo, hi)
+    ]
+    if profile is None and mode == "leave_one_out":
         # Every critical row is inside the full envelope. Held out, a row that is
         # a factor's unique minimum (maximum) moves that edge to the runner-up.
-        rows = list(compress(range(n_rows), critical))
-        if len(rows) == 1:
-            masks[rows[0]] = None
-            return masks
+        held = list(compress(range(n_rows), critical))
+        if len(held) == 1:
+            return Lanes(lanes, ones - (1 << 8 * w * held[0]), ones, w, rows)
         for j, (values, s) in enumerate(zip(train, ranked)):
             if s[0] < s[1] - eps:
-                masks[rows[values.index(s[0])]] &= ~(1 << j)
+                lanes[j] -= 1 << 8 * w * held[values.index(s[0])]
             if s[-1] > s[-2] + eps:
-                masks[rows[values.index(s[-1])]] &= ~(1 << j)
-    return masks
+                lanes[j] -= 1 << 8 * w * held[values.index(s[-1])]
+    return Lanes(lanes, ones, ones, w, rows)
 
 
 def membership_count(year_factors: Mapping[str, float], profile: IntervalProfile) -> int:
@@ -244,8 +280,8 @@ def membership_count(year_factors: Mapping[str, float], profile: IntervalProfile
     missing = [name for name in profile.factor_names if name not in year_factors]
     if missing:
         raise MissingFactorValue(missing[0])
-    (mask,) = membership_masks([(year_factors[n],) for n in profile.factor_names], profile=profile)
-    return mask.bit_count()
+    lanes = membership_lanes([(year_factors[n],) for n in profile.factor_names], profile=profile)
+    return sum(lanes.factors)
 
 
 def evaluate_insample(
@@ -263,10 +299,11 @@ def evaluate_insample(
     check_labels(m, labels)
     required = rule.required(profile.n_factors)
     columns = [m.factor_values(name) for name in profile.factor_names]
-    counts = [mask.bit_count() for mask in membership_masks(columns, profile=profile)]
+    lanes = membership_lanes(columns, profile=profile)
+    total = sum(lanes.factors)
+    counts = lanes.counts(total)
     flagged = [i for i, count in enumerate(counts) if count >= required]
-    x = sum(1 for i in flagged if labels.is_critical[i])
-    y = len(flagged) - x
+    x, y, _ = lanes.score(total, lanes.lane(labels.is_critical), required)
     return RecognitionResult(
         tuple(m.years[i] for i in flagged), x, y, precision(x, y), dict(zip(m.years, counts))
     )

@@ -10,11 +10,11 @@ grid point with one kernel pass over column slices of the input matrix.
 
 from __future__ import annotations
 
-from collections import Counter
+from functools import partial
 from itertools import combinations
 from typing import Iterable, NamedTuple
 
-from .backtest import BacktestConfig, evaluation_masks, membership_counts, score, threshold_value
+from .backtest import BacktestConfig, config_lanes, evaluation_lanes, threshold_value
 from .errors import TooManyFactors, WindowTooShort
 from .matrix import (
     CriticalLabels,
@@ -25,7 +25,7 @@ from .matrix import (
     check_lag,
     format_number,
 )
-from .recognizer import QuorumRule, membership_masks, precision
+from .recognizer import QuorumRule, precision
 
 MAX_SUBSET_FACTORS = 16
 
@@ -58,10 +58,7 @@ class SweepSpec(Frozen):
                 raise ValueError("grid must be non-empty")
         elif axis != "factor_subset":
             raise ValueError(f"axis {axis!r} requires an explicit grid")
-        object.__setattr__(self, "axis", axis)
-        object.__setattr__(self, "selection", selection)
-        object.__setattr__(self, "config", config)
-        object.__setattr__(self, "grid", grid)
+        self._set(axis, selection, config, grid)
 
 
 class SweepRow(NamedTuple):
@@ -84,8 +81,12 @@ class SweepReport(NamedTuple):
     rows: tuple[SweepRow, ...]
 
 
+# Builds a SweepRow from one full field tuple; SweepRow(...) costs more per row.
+_row = partial(tuple.__new__, SweepRow)
+
+
 def _ok_row(label: str, x: int, y: int, n_no_forecast: int) -> SweepRow:
-    return SweepRow(label, "ok", x, y, precision(x, y), n_no_forecast)
+    return _row((label, "ok", x, y, precision(x, y), n_no_forecast, ""))
 
 
 def _skipped_row(label: str, note: str) -> SweepRow:
@@ -101,46 +102,25 @@ def _grid_point_row(
     if n_critical < cfg.min_train_critical:
         note = f"{n_critical} critical years, {cfg.min_train_critical} required"
         return _skipped_row(label, note)
-    start = cfg.min_train_years if cfg.eval_mode == "rolling" else 0
-    masks = membership_masks(
-        columns,
-        critical,
-        cfg.eval_mode,
-        widen_eps=cfg.widen_eps,
-        start=start,
-        min_critical=cfg.min_train_critical,
-    )
-    counts = membership_counts(masks)
-    return _ok_row(label, *score(counts, critical[start:], cfg.rule.required(len(columns))))
+    lanes = config_lanes(columns, critical, cfg)
+    truth = lanes.lane(critical[len(critical) - lanes.rows :])
+    return _ok_row(label, *lanes.score(sum(lanes.factors), truth, cfg.rule.required(len(columns))))
 
 
-def enumerate_subsets(selection: FactorSelection) -> tuple[FactorSelection, ...]:
-    """All non-empty subsets, size ascending then lexicographic by name."""
+def enumerate_subsets(selection: FactorSelection) -> tuple[tuple[int, ...], ...]:
+    """All non-empty subsets as index tuples (ascending) into ``selection.names``.
+
+    They run by size, then lexicographically by the tuples of their names.
+    """
     if selection.n_factors > MAX_SUBSET_FACTORS:
         raise TooManyFactors(selection.n_factors, MAX_SUBSET_FACTORS)
-    subsets = []
-    for size in range(1, selection.n_factors + 1):
-        for combo in combinations(selection.names, size):
-            subsets.append(combo)
-    subsets.sort(key=lambda names: (len(names), names))
-    return tuple(FactorSelection(names) for names in subsets)
-
-
-def tally(groups: Counter, subset_bits: int, required: int) -> tuple[int, int, int]:
-    """``(x, y, n_no_forecast)`` of one factor subset and quorum requirement.
-
-    ``groups`` is ``Counter(zip(*evaluation_masks(...)))``: equal masks are scored once.
-    """
-    x = y = n_no_forecast = 0
-    for (mask, truth), n in groups.items():
-        if mask is None:
-            n_no_forecast += n
-        elif (mask & subset_bits).bit_count() >= required:
-            if truth:
-                x += n
-            else:
-                y += n
-    return x, y, n_no_forecast
+    names, indices = selection.names, range(selection.n_factors)
+    # Each size's name tuples sort with their index tuples in tow; names are distinct.
+    return tuple(
+        subset
+        for size in range(1, selection.n_factors + 1)
+        for _, subset in sorted(zip(combinations(names, size), combinations(indices, size)))
+    )
 
 
 def subset_sweep(
@@ -148,28 +128,29 @@ def subset_sweep(
 ) -> SweepReport:
     """Evaluate every factor subset in the grid with the base configuration.
 
-    A factor's membership bit does not depend on the subset, so the sweep is
-    one kernel pass over the union of the grid's factors. Equal (mask, truth)
-    pairs are grouped once, and every subset reuses the groups: one AND and
-    one popcount per (subset, distinct mask), which pays off across the up to
-    2^F - 1 subsets of an enumerated grid.
+    A factor's membership lane does not depend on the subset, so the sweep is
+    one kernel pass over the union of the grid's factors. Each subset then
+    costs one sum of its factors' lanes and one SWAR quorum step, which pays
+    off across the up to 2^F - 1 subsets of an enumerated grid.
 
     More factors does not always mean higher precision: under a partial
     quorum an uninformative factor can vote otherwise-rejected years past
     the requirement, so supersets may score strictly worse.
     """
     if spec.grid is None:
-        subsets = enumerate_subsets(spec.selection)
+        names, subsets = spec.selection.names, enumerate_subsets(spec.selection)
     else:
-        subsets = tuple(FactorSelection(names) for names in spec.grid)
-    names = tuple(dict.fromkeys(name for subset in subsets for name in subset.names))
-    groups = Counter(zip(*evaluation_masks(m, labels, names, spec.config)))
-    bit = {name: 1 << j for j, name in enumerate(names)}
+        index: dict[str, int] = {}  # each grid name's lane, in order of first use
+        grid = [FactorSelection(subset).names for subset in spec.grid]
+        subsets = [tuple(index.setdefault(name, len(index)) for name in sub) for sub in grid]
+        names = tuple(index)
+    lanes, truth = evaluation_lanes(m, labels, names, spec.config)
+    truth, factors = lanes.lane(truth), lanes.factors
+    required = [spec.config.rule.required(size) for size in range(1, len(names) + 1)]
     rows = []
     for subset in subsets:
-        subset_bits = sum(bit[name] for name in subset.names)
-        counts = tally(groups, subset_bits, spec.config.rule.required(subset.n_factors))
-        rows.append(_ok_row("+".join(subset.names), *counts))
+        counts = lanes.score(sum([factors[j] for j in subset]), truth, required[len(subset) - 1])
+        rows.append(_ok_row("+".join([names[j] for j in subset]), *counts))
     return SweepReport("factor_subset", tuple(rows))
 
 
@@ -178,14 +159,14 @@ def quorum_sweep(
 ) -> SweepReport:
     """One row per quorum fraction; flagged counts are non-increasing in q.
 
-    One kernel pass serves the whole grid: the per-year membership counts are
-    taken once, and each grid point scores them against its own ``required``.
+    One kernel pass serves the whole grid: the factors' lanes are summed once,
+    and each grid point is one SWAR step of that sum against its own ``required``.
     """
     rules = [QuorumRule(float(q)) for q in spec.grid]
     n = spec.selection.n_factors
-    masks, truth = evaluation_masks(m, labels, spec.selection.names, spec.config)
-    counts = membership_counts(masks)
-    rows = [_ok_row(format_number(r.q), *score(counts, truth, r.required(n))) for r in rules]
+    lanes, truth = evaluation_lanes(m, labels, spec.selection.names, spec.config)
+    total, truth = sum(lanes.factors), lanes.lane(truth)
+    rows = [_ok_row(format_number(r.q), *lanes.score(total, truth, r.required(n))) for r in rules]
     return SweepReport("quorum", tuple(rows))
 
 

@@ -111,17 +111,10 @@ class PlantSpec(Frozen):
                         f"planted interval ({lo}, {hi}) leaves no room outside"
                         f" the ambient range [{AMBIENT_LO}, {AMBIENT_HI}]"
                     )
-        object.__setattr__(self, "n_years", n_years)
-        object.__setattr__(self, "n_factors", n_factors)
-        object.__setattr__(self, "seed", seed)
-        object.__setattr__(self, "critical_fraction", critical_fraction)
-        object.__setattr__(self, "noise_prob", noise_prob)
-        object.__setattr__(self, "lag_shift", lag_shift)
-        object.__setattr__(self, "regime_change_year", regime_change_year)
-        object.__setattr__(self, "n_adversarial", n_adversarial)
-        object.__setattr__(self, "intervals", intervals)
-        object.__setattr__(self, "incidence_threshold", incidence_threshold)
-        object.__setattr__(self, "start_year", start_year)
+        self._set(
+            n_years, n_factors, seed, critical_fraction, noise_prob, lag_shift, regime_change_year,
+            n_adversarial, intervals, incidence_threshold, start_year,
+        )
 
     @property
     def factor_names(self) -> tuple[str, ...]:

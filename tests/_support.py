@@ -72,6 +72,26 @@ def reference_recognize(m, labels, selection, rule, widen_eps=0.0):
     )
 
 
+def lanes_to_masks(lanes):
+    """The kernel's lanes as ``_reference_rule.masks`` rows: bit j for factor j, None unscored.
+
+    Every lane of a factor int must hold 0 or 1 and every lane of ``scored``
+    must hold 0 or 1; an int that does not fit in its rows' lanes (or is
+    negative) raises ``OverflowError``.
+    """
+    size = lanes.rows * lanes.width
+    assert lanes.ones == int.from_bytes((b"\x01" + bytes(lanes.width - 1)) * lanes.rows, "little")
+    scored = lanes.scored.to_bytes(size, "little")
+    cells = [lane.to_bytes(size, "little") for lane in lanes.factors]
+    masks = []
+    for k in range(0, size, lanes.width):
+        for raw in (scored, *cells):
+            assert raw[k] in (0, 1) and not any(raw[k + 1 : k + lanes.width])
+        bits = sum(raw[k] << j for j, raw in enumerate(cells))
+        masks.append(bits if scored[k] else None)
+    return masks
+
+
 # --- CLI golden machinery -------------------------------------------------
 
 def setup_cli_workdir(tmp_path: Path) -> Path:

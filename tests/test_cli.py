@@ -415,6 +415,15 @@ class TestBadInput:
             "sweep", "--threshold", "8", "--factors", "may_temp", "--lag", "2",
             "--axis", "factor_subset", "--grid", "may_temp,f02,may_temp+f02",
         ],
+        **{
+            f"{argv[0]}_factors_empty_name_{i}": [*argv, "--factors", factors]
+            for argv in (
+                ["fit", "--threshold", "8"],
+                ["backtest", "--threshold", "8"],
+                ["sweep", "--threshold", "8", "--axis", "quorum", "--grid", "0.5"],
+            )
+            for i, factors in enumerate(["", " , ", "may_temp,"])
+        },
         "fit_select_threshold_min_critical_1": ["fit", "--select-threshold", "--min-critical", "1"],
         "fit_output_is_save_profile": [
             "fit", "--threshold", "8", "--output", "r.txt", "--save-profile", "./r.txt"

@@ -1,18 +1,23 @@
 """The membership kernel against one independent plain-loop rule reference.
 
-Every backtest mode and every sweep axis reads ``membership_masks``; these
-property tests compare the kernel, each backtest mode and each sweep axis
-with ``_reference_rule``, which imports nothing from the package and
+Every backtest mode and every sweep axis reads ``membership_lanes``; these
+property tests compare the kernel (read back into one bitmask per row by
+``_support.lanes_to_masks``), each backtest mode and each sweep axis with
+``_reference_rule``, which imports nothing from the package and
 recomputes every row's envelope from scratch over the rows that train it.
 Factor values come from the half-unit ``VALUE_GRID``, so many values sit
 exactly on an envelope edge.
 """
 
 import ast
+import json
+import math
+import random
+from itertools import combinations
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from factorcast import (
@@ -21,15 +26,17 @@ from factorcast import (
     FactorSelection,
     QuorumRule,
     label_critical,
+    parse_matrix,
     rolling_backtest,
 )
+from factorcast.cli import main
 from factorcast.backtest import EVAL_MODES
 from factorcast.matrix import CriticalLabels, TemporalMatrix
 from factorcast.recognizer import (
     FactorInterval,
     IntervalProfile,
     build_profile,
-    membership_masks,
+    membership_lanes,
 )
 from factorcast.sweeps import (
     SweepSpec,
@@ -42,9 +49,14 @@ from factorcast.sweeps import (
 from factorcast.synth import PlantSpec, generate
 
 import _reference_rule as ref
-from _support import QUORUM_CHOICES, VALUE_GRID
+from _support import QUORUM_CHOICES, VALUE_GRID, lanes_to_masks
 
 EPS_CHOICES = (0.0, 0.0, 0.1, 0.25, 0.5, 1.0)
+
+
+def membership_masks(*args, **kwargs):
+    """The kernel's lanes as one bitmask per row (bit j: factor j), None where unscored."""
+    return lanes_to_masks(membership_lanes(*args, **kwargs))
 
 
 @st.composite
@@ -61,7 +73,7 @@ def matrices(draw, n_min=1, n_max=14, f_max=4):
 
 
 @st.composite
-def configurations(draw, mode=None):
+def configurations(draw, mode=None, f_max=4):
     """A matrix, labels, a selection and a backtest configuration.
 
     The threshold is an observed incidence (often the maximum, so one
@@ -70,7 +82,7 @@ def configurations(draw, mode=None):
     rolling training labels (from the threshold) and the truth (from the
     flags).
     """
-    m = draw(matrices())
+    m = draw(matrices(f_max=f_max))
     top = max(m.incidence)
     value = draw(st.sampled_from((top, top, top + 1.0, *sorted(set(m.incidence)))))
     labels = label_critical(m, CriticalThreshold(value))
@@ -153,13 +165,63 @@ def test_zero_or_one_critical_year_matches_reference(mode, n_critical):
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_subset_sweep_rows_match_one_reference_backtest_each(data):
-    m, labels, selection, cfg = data.draw(configurations())
+    m, labels, selection, cfg = data.draw(configurations(f_max=6))
     report = subset_sweep(m, labels, SweepSpec("factor_subset", selection, cfg))
     assert len(report.rows) == (1 << selection.n_factors) - 1
+    assert [row.configuration for row in report.rows] == enumerated_labels(selection.names)
     for row in report.rows:
         subset = FactorSelection(tuple(row.configuration.split("+")))
         assert row.status == "ok"
         assert row_counts(row) == reference_backtest(m, labels, subset, cfg)[1]
+
+
+def enumerated_labels(names):
+    """Labels of every non-empty subset: by size, then by the tuple of names in selection order."""
+    subsets = [c for size in range(1, len(names) + 1) for c in combinations(names, size)]
+    return ["+".join(c) for c in sorted(subsets, key=lambda c: (len(c), c))]
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_explicit_subset_grid_with_reordered_and_overlapping_subsets(data):
+    m, labels, selection, cfg = data.draw(configurations())
+    a, b, *_ = data.draw(st.permutations(m.factor_names)) * 2
+    assume(a != b)
+    grid = ((b, a), (a,), (a, b), (b,))
+    report = subset_sweep(m, labels, SweepSpec("factor_subset", selection, cfg, grid))
+    assert [row.configuration for row in report.rows] == [f"{b}+{a}", a, f"{a}+{b}", b]
+    for names, row in zip(grid, report.rows):
+        assert row.status == "ok"
+        assert row_counts(row) == reference_backtest(m, labels, FactorSelection(names), cfg)[1]
+
+
+def test_all_subsets_of_twelve_factors_match_reference_mask_counts(tmp_path, capsys):
+    """``sweep --grid all`` over 4,095 subsets, each scored from ``_reference_rule.masks``."""
+    data = tmp_path / "wide.csv"
+    synth = ["synth", "--seed", "12", "--years", "40", "--factors", "12", "--noise", "0.1"]
+    assert main([*synth, "--adversarial", "2", "--output", str(data)]) == 0
+    names = [f"f{j:02d}" for j in range(12, 0, -1)]  # reversed: labels keep this order
+    argv = ["sweep", "--input", str(data), "--threshold", "10", "--quorum", "0.6"]
+    argv += ["--factors", ",".join(names), "--mode", "rolling", "--widen-eps", "0.5"]
+    capsys.readouterr()
+    assert main([*argv, "--axis", "factor_subset", "--grid", "all", "--format", "json"]) == 0
+    rows = json.loads(capsys.readouterr().out)["result"]["rows"]
+    m = parse_matrix(data.read_text(encoding="utf-8"))
+    critical = [v >= 10.0 for v in m.incidence]
+    columns = [m.factor_values(name) for name in names]
+    masks = ref.masks(columns, critical, "rolling", 0.5, 5, 2)
+    assert len({mask for mask in masks if mask is not None}) > 10
+    assert [row["configuration"] for row in rows] == enumerated_labels(names)
+    for row in rows:
+        bits = sum(1 << names.index(name) for name in row["configuration"].split("+"))
+        required = math.ceil(0.6 * bin(bits).count("1"))
+        hits = [
+            bin(mask & bits).count("1") >= required if mask is not None else None
+            for mask in masks
+        ]
+        x = sum(1 for hit, truth in zip(hits, critical[5:]) if hit and truth)
+        y = sum(1 for hit, truth in zip(hits, critical[5:]) if hit and not truth)
+        assert (row["x"], row["y"], row["n_no_forecast"]) == (x, y, hits.count(None))
 
 
 @settings(max_examples=150, deadline=None)
@@ -382,6 +444,111 @@ def test_profile_masks_match_per_cell_contains_at_600_rows_and_16_factors():
     masks = membership_masks(columns, profile=profile)
     assert masks == per_cell_masks(profile, columns)
     assert len(set(masks)) > 1
+
+
+# Lanes and the SWAR quorum step at their edges. A lane is 1 byte up to 127
+# factors and 2 bytes from 128; the add that tests the quorum must neither miss
+# a count equal to ``required`` nor carry out of a lane.
+
+
+@pytest.mark.parametrize(
+    "n_factors, width", [(1, 1), (127, 1), (128, 2), (130, 2), (32767, 2), (32768, 3)]
+)
+def test_lane_width_is_the_smallest_that_keeps_the_top_bit_free(n_factors, width):
+    assert membership_lanes([()] * n_factors).width == width
+
+
+@pytest.mark.parametrize("n_factors", (3, 127, 130))
+def test_swar_flags_every_count_from_required_up(n_factors):
+    # Row k lies inside exactly k of the [0, 0] envelopes; even rows are critical.
+    profile = IntervalProfile(
+        tuple(FactorInterval(f"g{j}", 0.0, 0.0) for j in range(n_factors)), 1
+    )
+    rows = range(n_factors + 1)
+    columns = [tuple(0.0 if j < k else 1.0 for k in rows) for j in range(n_factors)]
+    lanes = membership_lanes(columns, profile=profile)
+    total = sum(lanes.factors)
+    assert lanes.counts(total) == list(rows)
+    truth = [k % 2 == 0 for k in rows]
+    for required in sorted({1, 2, n_factors // 2, n_factors - 1, n_factors} - {0}):
+        x = sum(1 for k in rows if k >= required and truth[k])
+        y = sum(1 for k in rows if k >= required and not truth[k])
+        assert lanes.score(total, lanes.lane(truth), required) == (x, y, 0)
+
+
+def test_rolling_prefix_without_envelope_is_unscored():
+    # From row 1 on, rows 1 to 3 have fewer than two critical rows before them.
+    columns = [(1.0, 1.0, 1.0, 1.0, 1.0), (1.0, 1.0, 1.0, 1.0, 9.0)]
+    critical = (False, True, False, True, False)
+    lanes = membership_lanes(columns, critical, "rolling", start=1, min_critical=2)
+    assert lanes_to_masks(lanes) == [None, None, None, 0b01]
+    assert lanes.score(sum(lanes.factors), lanes.lane((True,) * 4), 1) == (1, 0, 3)
+
+
+def test_lone_held_out_row_is_unscored_though_its_in_sample_lanes_hit():
+    columns = [(1.0, 1.0, 2.0), (3.0, 3.0, 3.0)]
+    critical = (True, False, False)
+    lanes = membership_lanes(columns, critical, "leave_one_out")
+    assert lanes_to_masks(lanes) == [None, 0b11, 0b10]
+    assert sum(lanes.factors) & 0xFF == 2  # the held-out row's lanes still hold both hits
+    assert lanes.score(sum(lanes.factors), lanes.lane(critical), 1) == (0, 2, 1)
+
+
+def test_in_sample_without_critical_rows_scores_nothing():
+    lanes = membership_lanes([(1.0, 2.0), (0.5, 0.5)], (False, False))
+    assert lanes_to_masks(lanes) == [None, None]
+    assert lanes.score(sum(lanes.factors), lanes.lane((True, False)), 1) == (0, 0, 2)
+
+
+WIDE_CRITICAL = (True, True, False, True, False, False, True, False, False, True, False, False)
+# Each non-critical row's number of factors whose value 2.0 lies outside every envelope.
+WIDE_MISSES = {2: 0, 4: 1, 5: 65, 7: 129, 8: 130, 10: 66, 11: 128}
+
+
+def wide_matrix(n_factors=130):
+    """130 factors whose envelopes are [0, 1] once rows 0 and 1 train them.
+
+    Later critical rows repeat 0, 0.5 or 1, so a held-out edge sometimes
+    moves and sometimes ties; a non-critical row hits ``130 - misses``.
+    """
+    rng = random.Random(130)
+    names = tuple(f"g{j:03d}" for j in range(n_factors))
+    columns = {}
+    for j, name in enumerate(names):
+        col = [0.0, 1.0]
+        for row in range(2, len(WIDE_CRITICAL)):
+            if WIDE_CRITICAL[row]:
+                col.append(rng.choice((0.0, 0.5, 1.0)))
+            else:
+                col.append(2.0 if j < WIDE_MISSES[row] else 0.5)
+        columns[name] = tuple(col)
+    incidence = tuple(12.0 if c else 3.0 for c in WIDE_CRITICAL)
+    return TemporalMatrix(tuple(range(2000, 2000 + len(incidence))), incidence, names, columns)
+
+
+@pytest.mark.parametrize("mode", EVAL_MODES)
+@pytest.mark.parametrize("widen_eps", (0.0, 0.5))
+def test_kernel_with_two_byte_lanes_matches_reference(mode, widen_eps):
+    m = wide_matrix()
+    columns = [m.factor_values(name) for name in m.factor_names]
+    kwargs = {"widen_eps": widen_eps, "start": 1, "min_critical": 1}
+    lanes = membership_lanes(columns, WIDE_CRITICAL, mode, **kwargs)
+    assert lanes.width == 2
+    assert lanes_to_masks(lanes) == ref.masks(columns, WIDE_CRITICAL, mode, **kwargs)
+
+
+@pytest.mark.parametrize("mode", EVAL_MODES)
+@pytest.mark.parametrize("q", (0.005, 0.5, 1.0))  # requires 1, 65 and 130 of 130
+def test_backtest_with_two_byte_lanes_matches_reference(mode, q):
+    m = wide_matrix()
+    threshold = CriticalThreshold(10.0)
+    labels = label_critical(m, threshold)
+    cfg = BacktestConfig(QuorumRule(q), threshold, min_train_years=3, eval_mode=mode)
+    result = rolling_backtest(m, labels, FactorSelection.all_of(m), cfg)
+    required = cfg.rule.required(m.n_factors)
+    # Some year's count equals required, and another's falls one short.
+    assert {required, required - 1} <= {v.membership for v in result.verdicts}
+    assert_same_backtest(m, labels, FactorSelection.all_of(m), cfg)
 
 
 def test_reference_imports_nothing_from_the_package():

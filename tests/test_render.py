@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from factorcast import BacktestConfig, build_profile, evaluate_insample, rolling_backtest
-from factorcast.recognizer import membership_masks
+from factorcast.recognizer import membership_lanes
 from factorcast.report import (
     ReportDocument,
     ReportTable,
@@ -131,8 +131,8 @@ def report_documents(draw):
         result = evaluate_insample(m, labels, profile, rule)
         return fit_report(metadata, m, labels, profile, rule, result)
     if kind == "classify":
-        masks = membership_masks([m.columns[name] for name in m.factor_names], profile=profile)
-        scored = tuple((year, mask.bit_count()) for year, mask in zip(m.years, masks))
+        lanes = membership_lanes([m.columns[name] for name in m.factor_names], profile=profile)
+        scored = tuple(zip(m.years, lanes.counts(sum(lanes.factors))))
         return classify_report(metadata, profile, rule, scored)
     config = BacktestConfig(
         rule=rule,
