@@ -188,5 +188,5 @@ def rolling_backtest(
         for count in counts
     ]
     verdicts = tuple(map(_verdict, zip(years, predictions, counts, truth)))
-    x, y, n_no_forecast = lanes.score(total, lanes.lane(truth), required)
+    x, y, n_no_forecast = lanes.scorer(truth)(total, required)
     return BacktestResult(verdicts, x, y, precision(x, y), n_no_forecast)

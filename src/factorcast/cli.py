@@ -374,9 +374,9 @@ def _parse_grid(args) -> tuple | None:
         if args.factors and not set().union(*grid) <= set(_names(args.factors, ",")):
             args.usage_error(f"--grid names a factor that --factors {args.factors!r} does not list")
         return grid
-    values = [part.strip() for part in raw.split(",") if part.strip()]
-    if not values:
-        args.usage_error("empty --grid")
+    values = [part.strip() for part in raw.split(",")]
+    if not all(values):
+        args.usage_error(f"empty value in --grid {raw!r}")
     convert = {"lag": int, "row_length": int, "quorum": _fraction}.get(args.axis, float)
     try:
         grid = tuple(convert(v) for v in values)

@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from itertools import accumulate, compress
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import InvalidQuorum, LabelMismatch, MissingFactorValue, NoCriticalYears
 from .matrix import CriticalLabels, FactorSelection, Frozen, TemporalMatrix
@@ -161,10 +161,6 @@ class Lanes(NamedTuple):
     width: int
     rows: int
 
-    def lane(self, flags: Sequence[bool]) -> int:
-        """1 in the lane of every row whose flag is true."""
-        return _to_lane(bytes(flags), self.width)
-
     def counts(self, total: int) -> list[int | None]:
         """Each row's value in a sum of lanes; None for a row without an envelope."""
         w, size = self.width, self.rows * self.width
@@ -174,17 +170,26 @@ class Lanes(NamedTuple):
         scored = self.scored.to_bytes(size, "little")[::w]
         return [count if s else None for count, s in zip(raw, scored)]
 
-    def score(self, total: int, truth: int, required: int) -> tuple[int, int, int]:
-        """``(x, y, n_no_forecast)`` of a lane sum against a quorum, in one SWAR step.
+    def scorer(self, truth: Sequence[bool]) -> Callable[[int, int], tuple[int, int, int]]:
+        """``score(total, required)``: ``(x, y, n_no_forecast)`` of a lane sum, in one SWAR step.
 
-        Adding ``2**(8w - 1) - required`` (``required`` at least 1) to a lane sets
-        its top bit exactly when its count reaches ``required``. ``truth`` is a
-        :meth:`lane` of the critical rows.
+        ``truth`` flags the critical rows. Adding ``2**(8w - 1) - required``
+        (``required`` at least 1) to a lane sets its top bit exactly when its
+        count reaches ``required``; each ``required``'s bias is built once.
         """
         top = 8 * self.width - 1
-        hits = (total + ((1 << top) - required) * self.ones) & (self.scored << top)
-        x = (hits & (truth << top)).bit_count()
-        return x, hits.bit_count() - x, self.rows - self.scored.bit_count()
+        scored, truth = self.scored << top, _to_lane(bytes(truth), self.width) << top
+        unscored, ones, biases = self.rows - self.scored.bit_count(), self.ones, {}
+
+        def score(total: int, required: int) -> tuple[int, int, int]:
+            bias = biases.get(required)
+            if bias is None:
+                bias = biases[required] = ((1 << top) - required) * ones
+            hits = (total + bias) & scored
+            x = (hits & truth).bit_count()
+            return x, hits.bit_count() - x, unscored
+
+        return score
 
 
 def membership_lanes(
@@ -204,7 +209,8 @@ def membership_lanes(
     ``scored`` has nothing to test against and is a ``no_forecast``.
     Envelopes span ``critical`` rows:
 
-    - rolling: those before the row, as a running min/max. Rows before
+    - rolling: those before the row, as a running raw min/max whose widened
+      edges are rebuilt only when a critical row sets a new extreme. Rows before
       ``start`` get no lane; unscored while fewer than ``min_critical`` precede.
     - leave_one_out: all but the row itself; unscored for a lone critical row.
     - in_sample: all of them; every row unscored when there is none.
@@ -225,25 +231,27 @@ def membership_lanes(
         before = list(accumulate(critical, initial=0))
         first = max(start, bisect_left(before, min_critical))
         skip = 8 * w * (first - start)
-        tail = critical[first:n_rows]
+        head, tail, ks = critical[:first], critical[first:n_rows], range(n_rows - first)
         lanes = []
         for col in columns:
-            seed = list(compress(col[:first], critical))
+            seed = list(compress(col, head))
             # A conditional seeds an empty envelope: keyword min/max calls cost more per column.
-            lo = min(seed) - eps if seed else math.inf
-            hi = max(seed) + eps if seed else -math.inf
+            a, b = (min(seed), max(seed)) if seed else (math.inf, -math.inf)
+            lo, hi = a - eps, b + eps
             buf = bytearray(len(tail))
             # Score a row against the rows before it, then fold it in if critical.
-            # Flat (k, v, c) tuples: a cell unpacks no nested tuple.
-            for k, v, c in zip(range(len(tail)), col[first:], tail):
+            # Flat (k, v, c) tuples: a cell unpacks no nested tuple. The raw extremes
+            # a, b move and the edges are rebuilt only on a new extreme, which keeps
+            # them exact: fl(v - eps) and fl(v + eps) are monotone in v.
+            for k, v, c in zip(ks, col[first:], tail):
                 if lo <= v <= hi:
                     buf[k] = 1
                 if c:
-                    if v - eps < lo:
-                        lo = v - eps
-                    if v + eps > hi:
-                        hi = v + eps
-            lanes.append(_to_lane(buf, w) << skip)
+                    if v < a:
+                        a, lo = v, v - eps
+                    if v > b:
+                        b, hi = v, v + eps
+            lanes.append((int.from_bytes(buf, "little") if w == 1 else _to_lane(buf, w)) << skip)
         return Lanes(lanes, ones >> skip << skip, ones, w, rows)
     if profile is not None:
         lo = [iv.lo - iv.widen_eps for iv in profile.intervals]
@@ -303,7 +311,7 @@ def evaluate_insample(
     total = sum(lanes.factors)
     counts = lanes.counts(total)
     flagged = [i for i, count in enumerate(counts) if count >= required]
-    x, y, _ = lanes.score(total, lanes.lane(labels.is_critical), required)
+    x, y, _ = lanes.scorer(labels.is_critical)(total, required)
     return RecognitionResult(
         tuple(m.years[i] for i in flagged), x, y, precision(x, y), dict(zip(m.years, counts))
     )

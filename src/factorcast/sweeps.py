@@ -4,12 +4,14 @@ Each sweep varies exactly one axis of a base configuration and reports one
 row per grid point. Reports are deterministic for fixed inputs: grid order is
 preserved, factor subsets are enumerated by size then lexicographically, and
 infeasible grid points stay in the report as skipped rows so the sweep shape
-always matches the grid. The threshold, lag and row-length sweeps score each
-grid point with one kernel pass over column slices of the input matrix.
+always matches the grid. The lag and row-length sweeps score each grid point
+with one kernel pass over column slices of the input matrix, and the threshold
+sweep takes one pass per distinct labeling.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from functools import partial
 from itertools import combinations
 from typing import Iterable, NamedTuple
@@ -94,7 +96,7 @@ def _skipped_row(label: str, note: str) -> SweepRow:
 
 
 def _grid_point_row(
-    label: str, columns: list, incidence: tuple, value: float, cfg: BacktestConfig
+    label: str, columns: list, incidence: tuple, value: float, cfg: BacktestConfig, required: int
 ) -> SweepRow:
     """One kernel pass over aligned row slices; years at or above ``value`` train and are truth."""
     critical = [v >= value for v in incidence]
@@ -103,8 +105,8 @@ def _grid_point_row(
         note = f"{n_critical} critical years, {cfg.min_train_critical} required"
         return _skipped_row(label, note)
     lanes = config_lanes(columns, critical, cfg)
-    truth = lanes.lane(critical[len(critical) - lanes.rows :])
-    return _ok_row(label, *lanes.score(sum(lanes.factors), truth, cfg.rule.required(len(columns))))
+    score = lanes.scorer(critical[len(critical) - lanes.rows :])
+    return _ok_row(label, *score(sum(lanes.factors), required))
 
 
 def enumerate_subsets(selection: FactorSelection) -> tuple[tuple[int, ...], ...]:
@@ -129,9 +131,10 @@ def subset_sweep(
     """Evaluate every factor subset in the grid with the base configuration.
 
     A factor's membership lane does not depend on the subset, so the sweep is
-    one kernel pass over the union of the grid's factors. Each subset then
-    costs one sum of its factors' lanes and one SWAR quorum step, which pays
-    off across the up to 2^F - 1 subsets of an enumerated grid.
+    one kernel pass over the union of the grid's factors. A subset's lane sum
+    is its prefix's sum (all but its last factor, kept from the previous size's
+    subsets when the grid holds it there) plus one lane, and one SWAR quorum
+    step scores it, so each of the 2^F - 1 subsets of ``all`` costs one add.
 
     More factors does not always mean higher precision: under a partial
     quorum an uninformative factor can vote otherwise-rejected years past
@@ -145,12 +148,18 @@ def subset_sweep(
         subsets = [tuple(index.setdefault(name, len(index)) for name in sub) for sub in grid]
         names = tuple(index)
     lanes, truth = evaluation_lanes(m, labels, names, spec.config)
-    truth, factors = lanes.lane(truth), lanes.factors
-    required = [spec.config.rule.required(size) for size in range(1, len(names) + 1)]
-    rows = []
+    score, factors = lanes.scorer(truth), lanes.factors
+    required = {size: spec.config.rule.required(size) for size in range(1, len(names) + 1)}
+    # sums: the lane sums of the latest size's subsets; previous: those one factor smaller.
+    size, sums, previous, rows = 0, {(): 0}, {}, []
     for subset in subsets:
-        counts = lanes.score(sum([factors[j] for j in subset]), truth, required[len(subset) - 1])
-        rows.append(_ok_row("+".join([names[j] for j in subset]), *counts))
+        if len(subset) != size:
+            previous, sums = sums if len(subset) == size + 1 else {}, {}
+            size = len(subset)
+        base = previous.get(subset[:-1])
+        total = sum([factors[j] for j in subset]) if base is None else base + factors[subset[-1]]
+        sums[subset] = total
+        rows.append(_ok_row("+".join([names[j] for j in subset]), *score(total, required[size])))
     return SweepReport("factor_subset", tuple(rows))
 
 
@@ -165,8 +174,8 @@ def quorum_sweep(
     rules = [QuorumRule(float(q)) for q in spec.grid]
     n = spec.selection.n_factors
     lanes, truth = evaluation_lanes(m, labels, spec.selection.names, spec.config)
-    total, truth = sum(lanes.factors), lanes.lane(truth)
-    rows = [_ok_row(format_number(r.q), *lanes.score(total, truth, r.required(n))) for r in rules]
+    total, score = sum(lanes.factors), lanes.scorer(truth)
+    rows = [_ok_row(format_number(r.q), *score(total, r.required(n))) for r in rules]
     return SweepReport("quorum", tuple(rows))
 
 
@@ -174,13 +183,21 @@ def threshold_sensitivity(m: TemporalMatrix, spec: SweepSpec) -> SweepReport:
     """One row per critical threshold; relabels the series at each grid point.
 
     Thresholds yielding fewer than ``min_train_critical`` critical years are
-    reported as skipped rows rather than dropped.
+    reported as skipped rows rather than dropped. A labeling is fixed by how
+    many incidence values reach the threshold, so one kernel pass serves
+    every grid point with the same count, each row under its own label.
     """
-    columns = [m.factor_values(name) for name in spec.selection.names]
+    cfg, columns = spec.config, [m.factor_values(name) for name in spec.selection.names]
+    ranked, required = sorted(m.incidence), cfg.rule.required(len(columns))
+    seen: dict[int, SweepRow] = {}  # the row of each number of critical years
     rows = []
     for value in spec.grid:
         value = CriticalThreshold(float(value), "selected").value
-        rows.append(_grid_point_row(format_number(value), columns, m.incidence, value, spec.config))
+        label, count = format_number(value), len(ranked) - bisect_left(ranked, value)
+        if count not in seen:
+            seen[count] = _grid_point_row(label, columns, m.incidence, value, cfg, required)
+        row = seen[count]
+        rows.append(row if row.configuration == label else row._replace(configuration=label))
     return SweepReport("threshold", tuple(rows))
 
 
@@ -190,14 +207,14 @@ def lag_sweep(m: TemporalMatrix, labels: CriticalLabels, spec: SweepSpec) -> Swe
     Lags that leave fewer than ``min_train_critical`` critical years are
     reported as skipped rows.
     """
-    columns = [m.factor_values(name) for name in spec.selection.names]
-    value = threshold_value(labels, spec.config)
+    cfg, columns = spec.config, [m.factor_values(name) for name in spec.selection.names]
+    value, required = threshold_value(labels, cfg), cfg.rule.required(len(columns))
     n = m.n_years
     rows = []
     for lag in map(int, spec.grid):
         check_lag(lag, n)
         lagged = [col[: n - lag] for col in columns]
-        rows.append(_grid_point_row(str(lag), lagged, m.incidence[lag:], value, spec.config))
+        rows.append(_grid_point_row(str(lag), lagged, m.incidence[lag:], value, cfg, required))
     return SweepReport("lag", tuple(rows))
 
 
@@ -210,18 +227,18 @@ def row_length_sweep(
     raise; windows longer than the series or holding too few critical years
     are reported as skipped rows.
     """
-    columns = [m.factor_values(name) for name in spec.selection.names]
-    value = threshold_value(labels, spec.config)
+    cfg, columns = spec.config, [m.factor_values(name) for name in spec.selection.names]
+    value, required = threshold_value(labels, cfg), cfg.rule.required(len(columns))
     n = m.n_years
     rows = []
     for k in map(int, spec.grid):
-        if k < spec.config.min_train_years:
-            raise WindowTooShort(k, spec.config.min_train_years)
+        if k < cfg.min_train_years:
+            raise WindowTooShort(k, cfg.min_train_years)
         if k > n:
             rows.append(_skipped_row(str(k), f"window exceeds {n}-year series"))
             continue
         window = [col[n - k :] for col in columns]
-        rows.append(_grid_point_row(str(k), window, m.incidence[n - k :], value, spec.config))
+        rows.append(_grid_point_row(str(k), window, m.incidence[n - k :], value, cfg, required))
     return SweepReport("row_length", tuple(rows))
 
 

@@ -126,6 +126,17 @@ class TestBehavior:
             with_percent = with_percent.replace('"grid": "50%,100%"', '"grid": "0.5,1.0"', 1)
         assert with_percent == with_fraction
 
+    def test_threshold_grid_points_sharing_a_labeling_keep_their_labels(self, workdir, capsys):
+        # 8 and 8.0 are one value, and 7.5 flags the same years as 8: no incidence
+        # lies in [7.5, 8). Each row is the one its grid value gives alone.
+        base = ["sweep", *we_args(workdir, "--axis", "threshold", "--format", "json")]
+        assert main([*base, "--grid", "8,8.0,-0.0,7.5"]) == 0
+        rows = json.loads(capsys.readouterr().out)["result"]["rows"]
+        assert [row["configuration"] for row in rows] == ["8.0", "8.0", "-0.0", "7.5"]
+        for value, row in zip(["8", "8.0", "-0.0", "7.5"], rows):
+            assert main([*base, "--grid", value]) == 0
+            assert json.loads(capsys.readouterr().out)["result"]["rows"] == [row]
+
     def test_out_of_range_percent_quorum_grid_is_data_error(self, workdir, capsys):
         argv = ["sweep", *we_args(workdir, "--threshold", "8", "--axis", "quorum")]
         assert main([*argv, "--grid", "50%,150%"]) == 2
@@ -389,6 +400,14 @@ class TestBadInput:
         assert err.splitlines(keepends=True)[-1] == expected
         assert "Traceback" not in err
 
+    def test_sweep_empty_grid_item_is_usage_error(self, workdir, capsys):
+        argv = ["sweep", *we_args(workdir, "--threshold", "8", "--axis", "quorum")]
+        with pytest.raises(SystemExit) as err:
+            main([*argv, "--grid", "0.5,,1"])
+        assert err.value.code == 1
+        expected = "factorcast sweep: error: empty value in --grid '0.5,,1'\n"
+        assert capsys.readouterr().err.splitlines(keepends=True)[-1] == expected
+
     # Cross-flag checks run in their subcommand: its usage line, exit 1, no input read.
     CROSS_FLAG_CASES = {
         "threshold_axis_with_threshold": [
@@ -402,6 +421,16 @@ class TestBadInput:
             "sweep", "--threshold", "8", "--axis", "lag", "--grid", "0,1", "--lag", "1"
         ],
         "empty_grid": ["sweep", "--threshold", "8", "--axis", "quorum", "--grid", ","],
+        **{
+            f"{axis}_grid_empty_item_{i}": [*argv, "--axis", axis, "--grid", grid]
+            for axis, argv, grids in (
+                ("quorum", ["sweep", "--threshold", "8"], (",0.5", "0.5,,1", "0.5,")),
+                ("threshold", ["sweep"], (",8", "8,,9", "8,")),
+                ("lag", ["sweep", "--threshold", "8"], (",0", "0,,1", "1,")),
+                ("row_length", ["sweep", "--threshold", "8"], (",5", "5,,6", "6,")),
+            )
+            for i, grid in enumerate(grids)
+        },
         **{
             f"subset_grid_empty_name_{i}": [
                 "sweep", "--threshold", "8", "--axis", "factor_subset", "--grid", grid

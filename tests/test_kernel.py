@@ -31,7 +31,7 @@ from factorcast import (
 )
 from factorcast.cli import main
 from factorcast.backtest import EVAL_MODES
-from factorcast.matrix import CriticalLabels, TemporalMatrix
+from factorcast.matrix import CriticalLabels, TemporalMatrix, format_number
 from factorcast.recognizer import (
     FactorInterval,
     IntervalProfile,
@@ -60,9 +60,9 @@ def membership_masks(*args, **kwargs):
 
 
 @st.composite
-def matrices(draw, n_min=1, n_max=14, f_max=4):
+def matrices(draw, n_min=1, n_max=14, f_min=1, f_max=4):
     n = draw(st.integers(n_min, n_max))
-    f = draw(st.integers(1, f_max))
+    f = draw(st.integers(f_min, f_max))
     incidence = draw(st.lists(st.integers(0, 12).map(float), min_size=n, max_size=n))
     names = tuple(f"g{j}" for j in range(1, f + 1))
     columns = {
@@ -73,7 +73,7 @@ def matrices(draw, n_min=1, n_max=14, f_max=4):
 
 
 @st.composite
-def configurations(draw, mode=None, f_max=4):
+def configurations(draw, mode=None, f_min=1, f_max=4):
     """A matrix, labels, a selection and a backtest configuration.
 
     The threshold is an observed incidence (often the maximum, so one
@@ -82,7 +82,7 @@ def configurations(draw, mode=None, f_max=4):
     rolling training labels (from the threshold) and the truth (from the
     flags).
     """
-    m = draw(matrices(f_max=f_max))
+    m = draw(matrices(f_min=f_min, f_max=f_max))
     top = max(m.incidence)
     value = draw(st.sampled_from((top, top, top + 1.0, *sorted(set(m.incidence)))))
     labels = label_critical(m, CriticalThreshold(value))
@@ -195,6 +195,32 @@ def test_explicit_subset_grid_with_reordered_and_overlapping_subsets(data):
         assert row_counts(row) == reference_backtest(m, labels, FactorSelection(names), cfg)[1]
 
 
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_explicit_subset_grid_whose_prefixes_are_absent_late_reordered_or_repeated(data):
+    m, labels, selection, cfg = data.draw(configurations(f_min=3))
+    a, b, c, *_ = data.draw(st.permutations(m.factor_names))
+    # Each subset is scored from the sum of its prefix (all but its last factor)
+    # only where the subsets just before it, one factor smaller, hold that prefix.
+    grid = (
+        (a, c),  # prefix a absent
+        (a, b, c),  # prefix a+b comes later
+        (a, b),  # smaller than the subset before
+        (b,),
+        (a,),
+        (a, b),  # prefix a found; its tail b is also a key
+        (c, a),  # prefix c absent, a+c reordered
+        (c, a, b),  # prefix c+a found; its tail a+b is also a key
+        (c, a, b),  # repeated
+        (b, c, a),  # prefix b+c absent
+    )
+    report = subset_sweep(m, labels, SweepSpec("factor_subset", selection, cfg, grid))
+    assert [row.configuration for row in report.rows] == ["+".join(names) for names in grid]
+    for names, row in zip(grid, report.rows):
+        assert row.status == "ok"
+        assert row_counts(row) == reference_backtest(m, labels, FactorSelection(names), cfg)[1]
+
+
 def test_all_subsets_of_twelve_factors_match_reference_mask_counts(tmp_path, capsys):
     """``sweep --grid all`` over 4,095 subsets, each scored from ``_reference_rule.masks``."""
     data = tmp_path / "wide.csv"
@@ -260,7 +286,14 @@ def test_data_changing_sweeps_match_reference(data):
     m, labels, selection, cfg = data.draw(configurations())
     labels = label_critical(m, labels.threshold)
 
-    grid = tuple(sorted(set(m.incidence))) + (max(m.incidence) + 1.0,)
+    # Observed values, midpoints, a value below all and several above: grid points
+    # that share a labeling come in any order, repeat, and include 0.0 beside -0.0.
+    observed = sorted(set(m.incidence))
+    midpoints = [(lo + hi) / 2 for lo, hi in zip(observed, observed[1:])]
+    top = observed[-1]
+    points = [*observed, *midpoints, observed[0] - 1.0, top + 0.5, top + 1.0, top + 7.0]
+    repeats = data.draw(st.lists(st.sampled_from(points), max_size=4))
+    grid = (*data.draw(st.permutations(points)), 0.0, -0.0, *repeats)
     report = threshold_sensitivity(m, SweepSpec("threshold", selection, cfg, grid))
     expected = []
     for value in grid:
@@ -274,7 +307,7 @@ def test_data_changing_sweeps_match_reference(data):
             cfg.widen_eps,
         )
         expected.append(expected_row(m, relabeled, selection, cfg_t))
-    assert [row.configuration for row in report.rows] == [repr(value) for value in grid]
+    assert [row.configuration for row in report.rows] == [format_number(v) for v in grid]
     assert_rows(report, expected)
 
     lags = tuple(range(min(3, m.n_years)))
@@ -375,7 +408,7 @@ def test_kernel_bits_name_the_factors_inside():
 
 
 @st.composite
-def kernel_cases(draw, f_max=20, n_max=40):
+def kernel_cases(draw, f_max=20, n_max=40, values=(*VALUE_GRID, -0.0), eps_choices=EPS_CHOICES):
     """Kernel arguments, including some no ``BacktestConfig`` reaches.
 
     Rows hold zero, one, two or any number of critical rows, and a factor
@@ -385,7 +418,7 @@ def kernel_cases(draw, f_max=20, n_max=40):
     """
     f = draw(st.integers(1, f_max))
     n = draw(st.integers(0, n_max))
-    grid = st.sampled_from((*VALUE_GRID, -0.0))
+    grid = st.sampled_from(values)
     columns = [draw(st.lists(grid, min_size=n, max_size=n)) for _ in range(f)]
     n_critical = draw(st.sampled_from((0, 1, 2, None)))
     if n_critical is None:
@@ -401,7 +434,7 @@ def kernel_cases(draw, f_max=20, n_max=40):
                 a, b = draw(st.lists(st.sampled_from(rows), min_size=2, max_size=2))
                 col[b] = col[a]
     kwargs = {
-        "widen_eps": draw(st.sampled_from(EPS_CHOICES)),
+        "widen_eps": draw(st.sampled_from(eps_choices)),
         "start": draw(st.integers(0, n + 2)),
         "min_critical": draw(st.integers(0, 3)),
     }
@@ -412,6 +445,22 @@ def kernel_cases(draw, f_max=20, n_max=40):
 @settings(max_examples=400, deadline=None)
 @given(case=kernel_cases())
 def test_kernel_matches_reference(mode, case):
+    columns, critical, kwargs = case
+    assert membership_masks(columns, critical, mode, **kwargs) == ref.masks(
+        columns, critical, mode, **kwargs
+    )
+
+
+# Around 2**52, 2**53 and 2**54 floats lie 0.5 to 4 apart, so ``v - eps`` and
+# ``v + eps`` round (often onto v itself) for eps in {0.5, 1, 2}: an edge kept as a
+# raw extreme must widen to exactly the reference's ``min - eps`` and ``max + eps``.
+ROUNDING_VALUES = tuple(float(2**e + d) for e in (52, 53, 54) for d in (-3, -2, -1, 0, 1, 2, 4, 8))
+
+
+@pytest.mark.parametrize("mode", EVAL_MODES)
+@settings(max_examples=200, deadline=None)
+@given(case=kernel_cases(f_max=6, values=ROUNDING_VALUES, eps_choices=(0.5, 1.0, 2.0)))
+def test_kernel_matches_reference_where_widening_rounds(mode, case):
     columns, critical, kwargs = case
     assert membership_masks(columns, critical, mode, **kwargs) == ref.masks(
         columns, critical, mode, **kwargs
@@ -470,10 +519,12 @@ def test_swar_flags_every_count_from_required_up(n_factors):
     total = sum(lanes.factors)
     assert lanes.counts(total) == list(rows)
     truth = [k % 2 == 0 for k in rows]
-    for required in sorted({1, 2, n_factors // 2, n_factors - 1, n_factors} - {0}):
+    score = lanes.scorer(truth)  # builds each required's bias once, then reuses it
+    required_values = sorted({1, 2, n_factors // 2, n_factors - 1, n_factors} - {0})
+    for required in required_values + required_values[::-1]:
         x = sum(1 for k in rows if k >= required and truth[k])
         y = sum(1 for k in rows if k >= required and not truth[k])
-        assert lanes.score(total, lanes.lane(truth), required) == (x, y, 0)
+        assert score(total, required) == (x, y, 0)
 
 
 def test_rolling_prefix_without_envelope_is_unscored():
@@ -482,7 +533,7 @@ def test_rolling_prefix_without_envelope_is_unscored():
     critical = (False, True, False, True, False)
     lanes = membership_lanes(columns, critical, "rolling", start=1, min_critical=2)
     assert lanes_to_masks(lanes) == [None, None, None, 0b01]
-    assert lanes.score(sum(lanes.factors), lanes.lane((True,) * 4), 1) == (1, 0, 3)
+    assert lanes.scorer((True,) * 4)(sum(lanes.factors), 1) == (1, 0, 3)
 
 
 def test_lone_held_out_row_is_unscored_though_its_in_sample_lanes_hit():
@@ -491,13 +542,13 @@ def test_lone_held_out_row_is_unscored_though_its_in_sample_lanes_hit():
     lanes = membership_lanes(columns, critical, "leave_one_out")
     assert lanes_to_masks(lanes) == [None, 0b11, 0b10]
     assert sum(lanes.factors) & 0xFF == 2  # the held-out row's lanes still hold both hits
-    assert lanes.score(sum(lanes.factors), lanes.lane(critical), 1) == (0, 2, 1)
+    assert lanes.scorer(critical)(sum(lanes.factors), 1) == (0, 2, 1)
 
 
 def test_in_sample_without_critical_rows_scores_nothing():
     lanes = membership_lanes([(1.0, 2.0), (0.5, 0.5)], (False, False))
     assert lanes_to_masks(lanes) == [None, None]
-    assert lanes.score(sum(lanes.factors), lanes.lane((True, False)), 1) == (0, 0, 2)
+    assert lanes.scorer((True, False))(sum(lanes.factors), 1) == (0, 0, 2)
 
 
 WIDE_CRITICAL = (True, True, False, True, False, False, True, False, False, True, False, False)
