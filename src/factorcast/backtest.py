@@ -112,13 +112,12 @@ def config_lanes(
     columns: Sequence[Sequence[float]], critical: Sequence[bool], cfg: BacktestConfig
 ) -> Lanes:
     """The kernel in ``cfg``'s mode trained on ``critical`` (rolling skips ``min_train_years``)."""
-    start = cfg.min_train_years if cfg.eval_mode == "rolling" else 0
     return membership_lanes(
         columns,
         critical,
         cfg.eval_mode,
         widen_eps=cfg.widen_eps,
-        start=start,
+        start=cfg.min_train_years,
         min_critical=cfg.min_train_critical,
     )
 

@@ -230,17 +230,28 @@ def _check_distinct_paths(args) -> None:
             args.usage_error(f"--{first} and --{second} name the same file".replace("_", "-"))
 
 
-def _read_input(path: str) -> tuple[str, str]:
-    """SHA-256 digest of an input file, and its UTF-8 text."""
+def _read_input(args) -> tuple[dict, str]:
+    """The report metadata head for ``--input``, and the file's UTF-8 text.
+
+    A leading byte-order mark is dropped from the text; the digest is of the raw bytes.
+    """
+    path = args.input
     try:
         raw = Path(path).read_bytes()
     except OSError as exc:
         raise MatrixError(f"cannot read input {path!r}: {exc}") from None
     try:
-        text = raw.decode("utf-8")
+        text = raw.decode("utf-8-sig")
     except UnicodeDecodeError as exc:
         raise MatrixError(f"input {path!r} is not UTF-8: {exc}") from None
-    return hashlib.sha256(raw).hexdigest(), text
+    metadata = {
+        "tool": "factorcast",
+        "version": __version__,
+        "command": args.command,
+        "input": os.path.basename(path),
+        "input_sha256": hashlib.sha256(raw).hexdigest(),
+    }
+    return metadata, text
 
 
 def _names(text: str, sep: str) -> tuple[str, ...]:
@@ -250,7 +261,7 @@ def _names(text: str, sep: str) -> tuple[str, ...]:
 
 def _setup(args, fixed_threshold: float | None = None):
     """Metadata, lagged ``--input`` matrix, selection, threshold (fixed if given) and labels."""
-    digest, text = _read_input(args.input)
+    metadata, text = _read_input(args)
     m = parse_matrix(text)
     selection = FactorSelection(_names(args.factors, ",") if args.factors else m.factor_names)
     selection.validate_against(m)
@@ -262,13 +273,6 @@ def _setup(args, fixed_threshold: float | None = None):
         threshold = select_threshold(m, args.min_critical)
     else:
         threshold = CriticalThreshold(args.threshold, "expert")
-    metadata = {
-        "tool": "factorcast",
-        "version": __version__,
-        "command": args.command,
-        "input": os.path.basename(args.input),
-        "input_sha256": digest,
-    }
     return metadata, m, selection, threshold, label_critical(m, threshold)
 
 
@@ -322,20 +326,15 @@ def cmd_classify(args) -> int:
         raise MatrixError(f"cannot read profile {args.profile!r}: {exc}") from None
     profile, rule = profile_from_json(profile_text)
 
-    digest, text = _read_input(args.input)
+    metadata, text = _read_input(args)
     _, years, columns = read_columns(text, ("year",), profile.factor_names, distinct_years=True)
     lanes = membership_lanes(columns, profile=profile)
     scored = tuple(zip(years, lanes.counts(sum(lanes.factors))))
-    metadata = {
-        "tool": "factorcast",
-        "version": __version__,
-        "command": "classify",
-        "input": os.path.basename(args.input),
-        "input_sha256": digest,
-        "profile": os.path.basename(args.profile),
-        "quorum": rule.q,
-        "factors": ",".join(profile.factor_names),
-    }
+    metadata.update(
+        profile=os.path.basename(args.profile),
+        quorum=rule.q,
+        factors=",".join(profile.factor_names),
+    )
     doc = classify_report(metadata, profile, rule, scored)
     _write_output(emit_report(doc, args.format), args.output)
     return 0

@@ -8,6 +8,7 @@ and review the diff before committing.
 """
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -183,6 +184,22 @@ class TestBehavior:
         body = json.loads(capsys.readouterr().out)
         predictions = {row["year"]: row["prediction"] for row in body["result"]["predictions"]}
         assert predictions == {2031: "critical", 2032: "non_critical"}
+
+    @pytest.mark.parametrize("name", ["fit.txt", "fit.json", "classify.txt"])
+    def test_byte_order_mark_is_ignored(self, workdir, name):
+        """A UTF-8 input with a leading BOM reports as without one, but for its digest."""
+        plain_path = workdir / "worked_example.csv"
+        bom_path = workdir / "bom" / "worked_example.csv"
+        bom_path.parent.mkdir()
+        bom_path.write_bytes(b"\xef\xbb\xbf" + plain_path.read_bytes())
+        argv = dict(GOLDEN_CASES)[name](workdir)
+        plain = run_cli_to_file(argv, workdir / "plain.out")
+        with_bom = run_cli_to_file(
+            [str(bom_path) if arg == str(plain_path) else arg for arg in argv], workdir / "bom.out"
+        )
+        digests = [hashlib.sha256(p.read_bytes()).hexdigest().encode() for p in (plain_path, bom_path)]
+        assert plain.count(digests[0]) == 1
+        assert with_bom == plain.replace(*digests)
 
     def test_synth_twice_is_identical(self, tmp_path, capsys):
         args = ["synth", "--seed", "7", "--years", "30", "--factors", "8"]
