@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import hashlib
 import math
 import os
 import sys
@@ -22,7 +21,7 @@ from pathlib import Path
 
 from . import __version__
 from .backtest import EVAL_MODES, BacktestConfig, rolling_backtest, select_threshold
-from .errors import FactorcastError, InsufficientCriticalYears, MatrixError
+from .errors import FactorcastError, InsufficientCriticalYears, InsufficientYears, MatrixError
 from .matrix import (
     CriticalThreshold,
     FactorSelection,
@@ -131,7 +130,10 @@ def _add_common_flags(sub: argparse.ArgumentParser, min_critical_floor: int) -> 
         "--lag",
         type=_positive_int(0),
         default=0,
-        help="shift selected factors this many years earlier before analysis (default 0)",
+        help=(
+            "shift selected factors this many rows earlier before analysis;"
+            " rows equal years only in a gap-free series (default 0)"
+        ),
     )
     sub.add_argument(
         "--widen-eps",
@@ -235,6 +237,10 @@ def _read_input(args) -> tuple[dict, str]:
 
     A leading byte-order mark is dropped from the text; the digest is of the raw bytes.
     """
+    # hashlib maps OpenSSL, which costs a fresh process megabytes of resident
+    # memory; importing it here spares every command that reads no --input.
+    import hashlib
+
     path = args.input
     try:
         raw = Path(path).read_bytes()
@@ -321,7 +327,7 @@ def cmd_fit(args) -> int:
 
 def cmd_classify(args) -> int:
     try:
-        profile_text = Path(args.profile).read_text(encoding="utf-8")
+        profile_text = Path(args.profile).read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise MatrixError(f"cannot read profile {args.profile!r}: {exc}") from None
     profile, rule = profile_from_json(profile_text)
@@ -342,6 +348,9 @@ def cmd_classify(args) -> int:
 
 def cmd_backtest(args) -> int:
     metadata, m, selection, threshold, labels = _setup(args)
+    if args.mode == "rolling" and m.n_years <= args.min_train_years:
+        # The first rolling forecast is of the row after min_train_years training rows.
+        raise InsufficientYears(m.n_years, args.min_train_years + 1)
     cfg = _backtest_config(args, threshold)
     result = rolling_backtest(m, labels, selection, cfg)
     metadata.update(

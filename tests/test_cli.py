@@ -201,6 +201,17 @@ class TestBehavior:
         assert plain.count(digests[0]) == 1
         assert with_bom == plain.replace(*digests)
 
+    def test_profile_byte_order_mark_is_ignored(self, workdir):
+        """A saved profile that an editor re-saved with a BOM classifies as without one."""
+        plain_path = workdir / "profile.json"
+        bom_path = workdir / "bom" / "profile.json"
+        bom_path.parent.mkdir()
+        bom_path.write_bytes(b"\xef\xbb\xbf" + plain_path.read_bytes())
+        argv = ["classify", *we_args(workdir, "--profile")]
+        plain = run_cli_to_file([*argv, str(plain_path)], workdir / "plain.out")
+        with_bom = run_cli_to_file([*argv, str(bom_path)], workdir / "bom.out")
+        assert with_bom == plain
+
     def test_synth_twice_is_identical(self, tmp_path, capsys):
         args = ["synth", "--seed", "7", "--years", "30", "--factors", "8"]
         assert main([*args, "--output", str(tmp_path / "a.csv")]) == 0
@@ -301,6 +312,19 @@ class TestExitCodes:
         code = main(["fit", *we_args(workdir, "--threshold", "99", "--min-critical", "2")])
         assert code == 2
         assert "critical years" in capsys.readouterr().err
+
+    def test_rolling_backtest_without_a_forecast_origin_is_two(self, tmp_path, capsys):
+        data, report = tmp_path / "s.csv", tmp_path / "report.txt"
+        assert main(["synth", "--years", "12", "--output", str(data)]) == 0
+        capsys.readouterr()
+        argv = ["backtest", "--input", str(data), "--threshold", "10", "--output", str(report)]
+        assert main([*argv, "--min-train-years", "50"]) == 2
+        assert capsys.readouterr().err == "error: series has 12 years, at least 51 required\n"
+        assert not report.exists()
+        # The rows left after --lag are what the first origin needs.
+        assert main([*argv, "--min-train-years", "11", "--lag", "1"]) == 2
+        assert capsys.readouterr().err == "error: series has 11 years, at least 12 required\n"
+        assert main([*argv, "--min-train-years", "11"]) == 0
 
     def test_sweep_requires_threshold_for_non_threshold_axes(self, workdir, capsys):
         with pytest.raises(SystemExit) as err:

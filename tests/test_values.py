@@ -343,15 +343,28 @@ def test_planted_intervals_are_coerced_to_float_pairs():
     assert type(spec.intervals[0][0]) is float
 
 
-def test_cold_import_loads_neither_dataclasses_nor_inspect():
-    """Each of them costs a fresh ``factorcast`` process milliseconds of start-up."""
+def test_cold_import_loads_neither_dataclasses_nor_inspect(tmp_path):
+    """Each of them costs a fresh ``factorcast`` process start-up time or memory.
+
+    ``hashlib`` maps OpenSSL (``_hashlib``); only a command that reads
+    ``--input`` loads it, so ``synth`` runs without it too.
+    """
     code = (
-        "import sys; before = set(sys.modules); import factorcast.cli; "
-        "print(*sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))"
+        "import sys; costly = {'dataclasses', 'inspect', 'hashlib', '_hashlib'}\n"
+        "before = set(sys.modules); import factorcast.cli\n"
+        "print(*sorted(costly & (set(sys.modules) - before)))\n"
+        "factorcast.cli.main(['synth', '--output', sys.argv[1]])\n"
+        "print(*sorted(costly & (set(sys.modules) - before)))\n"
     )
     paths = (str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH"))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
     done = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+        [sys.executable, "-c", code, str(tmp_path / "s.csv")],
+        capture_output=True,
+        text=True,
+        env=env,
+        check=True,
     )
-    assert done.stdout == "\n"
+    imported, wrote, after_synth = done.stdout.split("\n")[:3]
+    assert (imported, after_synth) == ("", "")
+    assert wrote.startswith("wrote 30 years x 8 factors to ")
