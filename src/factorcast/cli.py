@@ -3,8 +3,10 @@
 Subcommands: ``fit`` (build a profile and score it in-sample), ``classify``
 (apply a saved profile to new factor rows), ``backtest`` (rolling / leave-one-
 out / in-sample replay), ``sweep`` (vary one configuration axis), and
-``synth`` (write a synthetic dataset plus its ground truth). Reports go to
-stdout unless ``--output`` names a file; no subcommand writes anywhere else.
+``synth`` (write a synthetic dataset plus its ground truth). Each subcommand
+returns its outputs as ``(text, path)`` pairs, a path of ``None`` meaning
+stdout, and :func:`main` alone writes them, in order: reports go to stdout
+unless ``--output`` names a file.
 
 Exit codes: 0 success, 1 usage error, 2 data or validation error.
 """
@@ -43,6 +45,9 @@ from .report import (
 )
 from .sweeps import SWEEP_AXES, SweepSpec, run_sweep
 from .synth import PlantSpec, generate
+
+
+Outputs = list[tuple[str, str | Path | None]]  # see the module docstring
 
 
 class _Parser(argparse.ArgumentParser):
@@ -282,7 +287,11 @@ def _setup(args, fixed_threshold: float | None = None):
     return metadata, m, selection, threshold, label_critical(m, threshold)
 
 
-def _backtest_config(args, threshold: CriticalThreshold) -> BacktestConfig:
+def _backtest_config(args, m, threshold: CriticalThreshold) -> BacktestConfig:
+    """The replay configuration; a rolling replay of ``m`` needs a forecast origin."""
+    if args.mode == "rolling" and m.n_years <= args.min_train_years:
+        # The first rolling forecast is of the row after min_train_years training rows.
+        raise InsufficientYears(m.n_years, args.min_train_years + 1)
     return BacktestConfig(
         rule=QuorumRule(args.quorum),
         threshold=threshold,
@@ -293,14 +302,7 @@ def _backtest_config(args, threshold: CriticalThreshold) -> BacktestConfig:
     )
 
 
-def _write_output(text: str, path: str | None) -> None:
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        Path(path).write_text(text, encoding="utf-8", newline="")
-
-
-def cmd_fit(args) -> int:
+def cmd_fit(args) -> Outputs:
     if args.select_threshold and args.min_critical < 2:
         args.usage_error("--select-threshold requires --min-critical of at least 2")
     metadata, m, selection, threshold, labels = _setup(args)
@@ -319,13 +321,13 @@ def cmd_fit(args) -> int:
         min_critical=args.min_critical,
     )
     doc = fit_report(metadata, m, labels, profile, rule, result)
-    _write_output(emit_report(doc, args.format), args.output)
+    outputs = [(emit_report(doc, args.format), args.output)]
     if args.save_profile:
-        _write_output(profile_to_json(profile, rule), args.save_profile)
-    return 0
+        outputs.append((profile_to_json(profile, rule), args.save_profile))
+    return outputs
 
 
-def cmd_classify(args) -> int:
+def cmd_classify(args) -> Outputs:
     try:
         profile_text = Path(args.profile).read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
@@ -342,16 +344,12 @@ def cmd_classify(args) -> int:
         factors=",".join(profile.factor_names),
     )
     doc = classify_report(metadata, profile, rule, scored)
-    _write_output(emit_report(doc, args.format), args.output)
-    return 0
+    return [(emit_report(doc, args.format), args.output)]
 
 
-def cmd_backtest(args) -> int:
+def cmd_backtest(args) -> Outputs:
     metadata, m, selection, threshold, labels = _setup(args)
-    if args.mode == "rolling" and m.n_years <= args.min_train_years:
-        # The first rolling forecast is of the row after min_train_years training rows.
-        raise InsufficientYears(m.n_years, args.min_train_years + 1)
-    cfg = _backtest_config(args, threshold)
+    cfg = _backtest_config(args, m, threshold)
     result = rolling_backtest(m, labels, selection, cfg)
     metadata.update(
         threshold=threshold.value,
@@ -365,8 +363,7 @@ def cmd_backtest(args) -> int:
         widen_eps=args.widen_eps,
     )
     doc = backtest_report(metadata, result, cfg.rule)
-    _write_output(emit_report(doc, args.format), args.output)
-    return 0
+    return [(emit_report(doc, args.format), args.output)]
 
 
 def _parse_grid(args) -> tuple | None:
@@ -395,7 +392,7 @@ def _parse_grid(args) -> tuple | None:
     return grid
 
 
-def cmd_sweep(args) -> int:
+def cmd_sweep(args) -> Outputs:
     grid = _parse_grid(args)
     has_threshold = args.threshold is not None or args.select_threshold
     if args.axis == "threshold" and has_threshold:
@@ -411,7 +408,7 @@ def cmd_sweep(args) -> int:
     # The threshold axis varies the threshold itself; the config echoes grid[0].
     fixed = grid[0] if args.axis == "threshold" else None
     metadata, m, selection, threshold, labels = _setup(args, fixed)
-    cfg = _backtest_config(args, threshold)
+    cfg = _backtest_config(args, m, threshold)
     spec = SweepSpec(axis=args.axis, selection=selection, config=cfg, grid=grid)
     report = run_sweep(m, labels, spec)
     metadata.update(
@@ -426,11 +423,10 @@ def cmd_sweep(args) -> int:
     if fixed is None:
         metadata.update(threshold=threshold.value, threshold_source=threshold.source)
     doc = sweep_report_document(metadata, report)
-    _write_output(emit_report(doc, args.format), args.output)
-    return 0
+    return [(emit_report(doc, args.format), args.output)]
 
 
-def cmd_synth(args) -> int:
+def cmd_synth(args) -> Outputs:
     spec = PlantSpec(
         n_years=args.years,
         n_factors=args.factors,
@@ -446,23 +442,26 @@ def cmd_synth(args) -> int:
     matrix, truth = generate(spec)
     output = Path(args.output)
     truth_path = Path(args.truth_output or output.with_name(output.stem + "_truth.csv"))
-    output.write_text(matrix.to_csv(), encoding="utf-8", newline="")
-    truth_path.write_text(truth.to_csv(), encoding="utf-8", newline="")
-    sys.stdout.write(
+    summary = (
         f"wrote {matrix.n_years} years x {matrix.n_factors} factors to {output}"
         f" (ground truth: {truth_path})\n"
     )
-    return 0
+    return [(matrix.to_csv(), output), (truth.to_csv(), truth_path), (summary, None)]
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     _check_distinct_paths(args)
     try:
-        return args.func(args)
+        for text, path in args.func(args):
+            if path is None:
+                sys.stdout.write(text)
+            else:
+                Path(path).write_text(text, encoding="utf-8", newline="")
     except (FactorcastError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return 0
 
 
 if __name__ == "__main__":

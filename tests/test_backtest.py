@@ -256,6 +256,19 @@ class TestEvalModes:
         assert result.verdicts[0].prediction == "no_forecast"
         assert all(v.prediction != "no_forecast" for v in result.verdicts[1:])
 
+    def test_n_forecasts_counts_issued_verdicts(self):
+        m = make_matrix((9.0, 1.0, 2.0, 1.0), f=(1.0, 2.0, 3.0, 4.0))
+        cfg = BacktestConfig(
+            rule=QuorumRule(1.0),
+            threshold=CriticalThreshold(9.0),
+            eval_mode="leave_one_out",
+        )
+        labels = label_critical(m, cfg.threshold)
+        result = rolling_backtest(m, labels, FactorSelection(("f",)), cfg)
+        issued = sum(1 for v in result.verdicts if v.prediction != "no_forecast")
+        assert result.n_forecasts == issued == 3
+        assert result.n_no_forecast == 1
+
     def test_leave_one_out_excludes_the_year_itself(self):
         # Two criticals with distinct factor values: held-out envelopes are
         # point intervals at the other critical year's value.

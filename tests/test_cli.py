@@ -326,6 +326,25 @@ class TestExitCodes:
         assert capsys.readouterr().err == "error: series has 11 years, at least 12 required\n"
         assert main([*argv, "--min-train-years", "11"]) == 0
 
+    def test_rolling_sweep_without_a_forecast_origin_is_two(self, tmp_path, capsys):
+        data, report = tmp_path / "s.csv", tmp_path / "report.txt"
+        assert main(["synth", "--years", "12", "--output", str(data)]) == 0
+        capsys.readouterr()
+        sweep = ["sweep", "--input", str(data), "--mode", "rolling", "--output", str(report)]
+        quorum = ["--threshold", "10", "--axis", "quorum", "--grid", "0.5,1.0"]
+        threshold = ["--axis", "threshold", "--grid", "10,12"]
+        for flags, n_years, required in (
+            ([*quorum, "--min-train-years", "50"], 12, 51),
+            ([*threshold, "--min-train-years", "50"], 12, 51),
+            # The rows left after --lag are what the first origin needs.
+            ([*quorum, "--min-train-years", "9", "--lag", "3"], 9, 10),
+        ):
+            assert main([*sweep, *flags]) == 2, flags
+            error = f"error: series has {n_years} years, at least {required} required\n"
+            assert capsys.readouterr() == ("", error)
+            assert not report.exists()
+        assert main([*sweep, *quorum, "--min-train-years", "9"]) == 0
+
     def test_sweep_requires_threshold_for_non_threshold_axes(self, workdir, capsys):
         with pytest.raises(SystemExit) as err:
             main(["sweep", *we_args(workdir, "--axis", "quorum", "--grid", "0.5,1.0")])
@@ -448,6 +467,17 @@ class TestBadInput:
         assert err.value.code == 1
         expected = "factorcast sweep: error: empty value in --grid '0.5,,1'\n"
         assert capsys.readouterr().err.splitlines(keepends=True)[-1] == expected
+
+    @pytest.mark.parametrize("axis,grid", [("lag", "1.5"), ("quorum", "x"), ("row_length", "ten")])
+    def test_sweep_invalid_grid_value_is_usage_error(self, workdir, capsys, axis, grid):
+        argv = ["sweep", *we_args(workdir, "--threshold", "8", "--axis", axis, "--grid", grid)]
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 1
+        stderr = capsys.readouterr().err
+        assert stderr.startswith("usage: factorcast sweep ")
+        expected = f"factorcast sweep: error: invalid --grid value in '{grid}'\n"
+        assert stderr.splitlines(keepends=True)[-1] == expected
 
     # Cross-flag checks run in their subcommand: its usage line, exit 1, no input read.
     CROSS_FLAG_CASES = {

@@ -2,6 +2,7 @@
 
 import pytest
 
+import factorcast.backtest
 from factorcast import (
     BacktestConfig,
     CriticalThreshold,
@@ -14,6 +15,7 @@ from factorcast.errors import (
     InvalidQuorum,
     LagTooLarge,
     TooManyFactors,
+    UnknownFactor,
     WindowTooShort,
 )
 from factorcast.matrix import CriticalLabels, TemporalMatrix
@@ -97,6 +99,10 @@ class TestSubsetSweep:
             THREE_FACTOR, LABELS, spec_for("factor_subset", grid=(("b",), ("a", "c")))
         )
         assert [row.configuration for row in report.rows] == ["b", "a+c"]
+
+    def test_explicit_grid_with_unknown_factor(self):
+        with pytest.raises(UnknownFactor):
+            subset_sweep(THREE_FACTOR, LABELS, spec_for("factor_subset", grid=(("nope",),)))
 
     def test_flag_counts_shrink_along_inclusion_chain_at_full_quorum(self):
         report = subset_sweep(
@@ -369,6 +375,60 @@ class TestSlicedSweeps:
         labels = label_critical(THREE_FACTOR, CriticalThreshold(9.0))
         with pytest.raises(ValueError, match="labels threshold differs"):
             sweep(THREE_FACTOR, labels, spec_for(axis, grid))
+
+
+class TestKernelPasses:
+    """Each sweep makes the kernel passes README and the ``sweeps`` docstrings promise."""
+
+    @pytest.fixture
+    def passes(self, monkeypatch):
+        calls = []
+        lanes = factorcast.backtest.membership_lanes
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return lanes(*args, **kwargs)
+
+        monkeypatch.setattr(factorcast.backtest, "membership_lanes", counting)
+
+        def count(run, *args):
+            calls.clear()
+            return run(*args), len(calls)
+
+        return count
+
+    @pytest.mark.parametrize("mode", ["rolling", "leave_one_out", "in_sample"])
+    def test_pass_counts(self, passes, mode):
+        m, _ = generate(PlantSpec(seed=3, n_years=40, n_factors=5))
+        threshold = CriticalThreshold(10.0)
+        labels = label_critical(m, threshold)
+        selection = FactorSelection.all_of(m)
+        cfg = BacktestConfig(rule=QuorumRule(0.75), threshold=threshold, eval_mode=mode)
+
+        def spec(axis, grid):
+            return SweepSpec(axis=axis, selection=selection, config=cfg, grid=grid)
+
+        assert passes(rolling_backtest, m, labels, selection, cfg)[1] == 1
+        assert passes(quorum_sweep, m, labels, spec("quorum", (0.5, 0.75, 1.0)))[1] == 1
+        assert passes(subset_sweep, m, labels, spec("factor_subset", None))[1] == 1
+
+        # 9.5 and 10 label the same years, and 25 labels too few of them.
+        grid = (2.0, 5.0, 9.5, 10.0, 25.0)
+        report, n = passes(threshold_sensitivity, m, spec("threshold", grid))
+        labelings = {
+            label_critical(m, CriticalThreshold(t)).is_critical
+            for t, row in zip(grid, report.rows)
+            if row.status == "ok"
+        }
+        assert n == len(labelings) == 3
+
+        # One pass per point that is not skipped; a repeated lag is scored again.
+        for sweep, axis, grid, expected in (
+            (lag_sweep, "lag", (0, 1, 1, 3), 4),
+            (row_length_sweep, "row_length", (25, 40, 48), 2),
+        ):
+            report, n = passes(sweep, m, labels, spec(axis, grid))
+            assert n == sum(row.status == "ok" for row in report.rows) == expected
 
 
 class TestDeterminism:
