@@ -136,8 +136,8 @@ def _add_common_flags(sub: argparse.ArgumentParser, min_critical_floor: int) -> 
         type=_positive_int(0),
         default=0,
         help=(
-            "shift selected factors this many rows earlier before analysis;"
-            " rows equal years only in a gap-free series (default 0)"
+            "shift selected factors this many years earlier before analysis;"
+            " a lag above 0 needs consecutive years (default 0)"
         ),
     )
     sub.add_argument(
@@ -270,6 +270,15 @@ def _names(text: str, sep: str) -> tuple[str, ...]:
     return tuple(name.strip() for name in text.split(sep))
 
 
+def _check_consecutive(years: tuple[int, ...], lags) -> None:
+    """Data error when a nonzero lag, which counts rows, would span a gap in ``years``."""
+    lag = next(filter(None, lags), 0)
+    # Years strictly increase, so they are consecutive exactly when they span n - 1.
+    if lag and years[-1] - years[0] != len(years) - 1:
+        before, after = next(pair for pair in zip(years, years[1:]) if pair[1] - pair[0] > 1)
+        raise MatrixError(f"lag {lag} needs consecutive years, but {after} follows {before}")
+
+
 def _setup(args, fixed_threshold: float | None = None):
     """Metadata, lagged ``--input`` matrix, selection, threshold (fixed if given) and labels."""
     metadata, text = _read_input(args)
@@ -277,6 +286,7 @@ def _setup(args, fixed_threshold: float | None = None):
     selection = FactorSelection(_names(args.factors, ",") if args.factors else m.factor_names)
     selection.validate_against(m)
     if args.lag:
+        _check_consecutive(m.years, (args.lag,))
         m = apply_uniform_lag(m, selection.names, args.lag)
     if fixed_threshold is not None:
         threshold = CriticalThreshold(fixed_threshold, "selected")
@@ -408,6 +418,8 @@ def cmd_sweep(args) -> Outputs:
     # The threshold axis varies the threshold itself; the config echoes grid[0].
     fixed = grid[0] if args.axis == "threshold" else None
     metadata, m, selection, threshold, labels = _setup(args, fixed)
+    if args.axis == "lag":
+        _check_consecutive(m.years, grid)
     cfg = _backtest_config(args, m, threshold)
     spec = SweepSpec(axis=args.axis, selection=selection, config=cfg, grid=grid)
     report = run_sweep(m, labels, spec)

@@ -4,14 +4,14 @@ Each sweep varies exactly one axis of a base configuration and reports one
 row per grid point. Reports are deterministic for fixed inputs: grid order is
 preserved, factor subsets are enumerated by size then lexicographically, and
 infeasible grid points stay in the report as skipped rows so the sweep shape
-always matches the grid. The lag and row-length sweeps score each grid point
-with one kernel pass over column slices of the input matrix, and the threshold
-sweep takes one pass per distinct labeling.
+always matches the grid. The threshold, lag and row-length sweeps share one
+path: a grid point is a row slice plus a labeling, points with the same pair
+share one kernel pass, and one skip policy (window longer than the series, too
+few critical years, no rolling forecast origin) covers all three axes.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from functools import partial
 from itertools import combinations
 from typing import Iterable, NamedTuple
@@ -95,18 +95,38 @@ def _skipped_row(label: str, note: str) -> SweepRow:
     return SweepRow(label, "skipped", None, None, None, None, note)
 
 
-def _grid_point_row(
-    label: str, columns: list, incidence: tuple, value: float, cfg: BacktestConfig, required: int
-) -> SweepRow:
-    """One kernel pass over aligned row slices; years at or above ``value`` train and are truth."""
-    critical = [v >= value for v in incidence]
-    n_critical = sum(critical)
-    if n_critical < cfg.min_train_critical:
-        note = f"{n_critical} critical years, {cfg.min_train_critical} required"
-        return _skipped_row(label, note)
-    lanes = config_lanes(columns, critical, cfg)
-    score = lanes.scorer(critical[len(critical) - lanes.rows :])
-    return _ok_row(label, *score(sum(lanes.factors), required))
+def _sliced_sweep(axis: str, m: TemporalMatrix, spec: SweepSpec, points: list) -> SweepReport:
+    """One row per ``(label, value, lag, length)`` point, scored on row slices of ``m``.
+
+    Factor rows ``[n - lag - length, n - lag)`` are scored against the last
+    ``length`` incidence rows, whose values at or above ``value`` train and
+    are truth; a ``length`` of None is a window longer than the series. A
+    point is skipped when its window exceeds the series, when it holds too
+    few critical years, or when a rolling replay has no forecast origin, in
+    that order. Points with the same slice and labeling share one kernel pass.
+    """
+    cfg, n = spec.config, m.n_years
+    columns = [m.factor_values(name) for name in spec.selection.names]
+    required = cfg.rule.required(len(columns))
+    scores: dict[tuple, tuple[int, int, int]] = {}  # (lag, length, labeling) -> x, y, no_forecast
+    rows = []
+    for label, value, lag, length in points:
+        if length is None:
+            rows.append(_skipped_row(label, f"window exceeds {n}-year series"))
+            continue
+        critical = [v >= value for v in m.incidence[n - length :]]
+        key, n_critical = (lag, length, bytes(critical)), sum(critical)
+        if n_critical < cfg.min_train_critical:
+            note = f"{n_critical} critical years, {cfg.min_train_critical} required"
+        elif cfg.eval_mode == "rolling" and length <= cfg.min_train_years:
+            note = f"{length} years, {cfg.min_train_years + 1} required"
+        elif key not in scores:
+            lanes = config_lanes([c[n - lag - length : n - lag] for c in columns], critical, cfg)
+            score = lanes.scorer(critical[length - lanes.rows :])
+            scores[key] = score(sum(lanes.factors), required)
+        # The skip rules read only the key, so a key is scored exactly when its point is ok.
+        rows.append(_ok_row(label, *scores[key]) if key in scores else _skipped_row(label, note))
+    return SweepReport(axis, tuple(rows))
 
 
 def enumerate_subsets(selection: FactorSelection) -> tuple[tuple[int, ...], ...]:
@@ -180,42 +200,27 @@ def quorum_sweep(
 
 
 def threshold_sensitivity(m: TemporalMatrix, spec: SweepSpec) -> SweepReport:
-    """One row per critical threshold; relabels the series at each grid point.
+    """One row per critical threshold; relabels the whole series at each grid point.
 
-    Thresholds yielding fewer than ``min_train_critical`` critical years are
-    reported as skipped rows rather than dropped. A labeling is fixed by how
-    many incidence values reach the threshold, so one kernel pass serves
-    every grid point with the same count, each row under its own label.
+    Too few critical years, or no rolling forecast origin, makes a skipped
+    row; thresholds that the same incidence values reach share one kernel pass.
     """
-    cfg, columns = spec.config, [m.factor_values(name) for name in spec.selection.names]
-    ranked, required = sorted(m.incidence), cfg.rule.required(len(columns))
-    seen: dict[int, SweepRow] = {}  # the row of each number of critical years
-    rows = []
-    for value in spec.grid:
-        value = CriticalThreshold(float(value), "selected").value
-        label, count = format_number(value), len(ranked) - bisect_left(ranked, value)
-        if count not in seen:
-            seen[count] = _grid_point_row(label, columns, m.incidence, value, cfg, required)
-        row = seen[count]
-        rows.append(row if row.configuration == label else row._replace(configuration=label))
-    return SweepReport("threshold", tuple(rows))
+    values = [CriticalThreshold(float(value), "selected").value for value in spec.grid]
+    points = [(format_number(value), value, 0, m.n_years) for value in values]
+    return _sliced_sweep("threshold", m, spec, points)
 
 
 def lag_sweep(m: TemporalMatrix, labels: CriticalLabels, spec: SweepSpec) -> SweepReport:
     """One row per lag L: each selected column's first n - L rows against the last n - L years.
 
-    Lags that leave fewer than ``min_train_critical`` critical years are
-    reported as skipped rows.
+    Too few critical years, or no rolling forecast origin in the n - L rows,
+    makes a skipped row; a repeated lag shares its kernel pass.
     """
-    cfg, columns = spec.config, [m.factor_values(name) for name in spec.selection.names]
-    value, required = threshold_value(labels, cfg), cfg.rule.required(len(columns))
-    n = m.n_years
-    rows = []
-    for lag in map(int, spec.grid):
+    value, n = threshold_value(labels, spec.config), m.n_years
+    lags = [int(lag) for lag in spec.grid]
+    for lag in lags:
         check_lag(lag, n)
-        lagged = [col[: n - lag] for col in columns]
-        rows.append(_grid_point_row(str(lag), lagged, m.incidence[lag:], value, cfg, required))
-    return SweepReport("lag", tuple(rows))
+    return _sliced_sweep("lag", m, spec, [(str(lag), value, lag, n - lag) for lag in lags])
 
 
 def row_length_sweep(
@@ -223,23 +228,17 @@ def row_length_sweep(
 ) -> SweepReport:
     """One row per trailing-window length k: the last k rows of the columns and incidence.
 
-    Grid values below ``min_train_years`` violate the grid contract and
-    raise; windows longer than the series or holding too few critical years
-    are reported as skipped rows.
+    Grid values below ``min_train_years`` raise. A window longer than the series,
+    with too few critical years or with no rolling forecast origin makes a
+    skipped row; a repeated window shares its kernel pass.
     """
-    cfg, columns = spec.config, [m.factor_values(name) for name in spec.selection.names]
-    value, required = threshold_value(labels, cfg), cfg.rule.required(len(columns))
-    n = m.n_years
-    rows = []
-    for k in map(int, spec.grid):
-        if k < cfg.min_train_years:
-            raise WindowTooShort(k, cfg.min_train_years)
-        if k > n:
-            rows.append(_skipped_row(str(k), f"window exceeds {n}-year series"))
-            continue
-        window = [col[n - k :] for col in columns]
-        rows.append(_grid_point_row(str(k), window, m.incidence[n - k :], value, cfg, required))
-    return SweepReport("row_length", tuple(rows))
+    value, minimum = threshold_value(labels, spec.config), spec.config.min_train_years
+    lengths = [int(k) for k in spec.grid]
+    for k in lengths:
+        if k < minimum:
+            raise WindowTooShort(k, minimum)
+    points = [(str(k), value, 0, k if k <= m.n_years else None) for k in lengths]
+    return _sliced_sweep("row_length", m, spec, points)
 
 
 def run_sweep(

@@ -353,6 +353,21 @@ GOLDEN_CASES = [
         ),
     ),
     (
+        # The later --min-train-years 8 wins. Lag 34 leaves 6 rows, which hold no
+        # forecast origin, and lag 35 leaves 5 rows with 1 critical year.
+        "sweep_lag_no_origin.txt",
+        lambda d: _planted_long_sweep(
+            d,
+            "lag",
+            "0,3,3,30,34,35",
+            "rolling",
+            "text",
+            "--threshold", "17",
+            "--widen-eps", "0.5",
+            "--min-train-years", "8",
+        ),
+    ),
+    (
         "sweep_threshold_rolling.json",
         lambda d: _planted_long_sweep(d, "threshold", "5,10,19.5,25", "rolling", "json"),
     ),

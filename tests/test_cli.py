@@ -68,6 +68,12 @@ class TestGolden:
             )
             assert done.stdout == (GOLDEN / name).read_bytes(), command
 
+    def test_every_golden_file_is_compared(self):
+        """Each file under ``golden/`` is read by a test above, so none is left unchecked."""
+        compared = {name for name, _ in GOLDEN_CASES}
+        compared |= {"profile.json", "synth.csv", "synth_truth.csv"}
+        assert {path.name for path in GOLDEN.iterdir()} == compared
+
     def test_profile_document_matches_golden(self, workdir):
         produced = (workdir / "profile.json").read_bytes()
         golden_path = GOLDEN / "profile.json"
@@ -344,6 +350,29 @@ class TestExitCodes:
             assert capsys.readouterr() == ("", error)
             assert not report.exists()
         assert main([*sweep, *quorum, "--min-train-years", "9"]) == 0
+
+    def test_lag_over_a_year_gap_is_two(self, tmp_path, capsys):
+        data, report = tmp_path / "gappy.csv", tmp_path / "report.txt"
+        years = (1990, 1991, 1995, 1996, 1997, 1998)
+        rows = [f"{year},{10.0 + 3 * (k % 2)},{k},{2 * k}" for k, year in enumerate(years)]
+        data.write_text("\n".join(["year,incidence,a,b", *rows, ""]), encoding="utf-8")
+        base = ["--input", str(data), "--threshold", "9", "--output", str(report)]
+        fit, backtest = ["fit", *base], ["backtest", *base, "--min-train-years", "3"]
+        sweep = ["sweep", *base, "--axis", "lag"]
+        for argv, lag in (
+            ([*fit, "--lag", "1"], 1),
+            ([*backtest, "--lag", "2"], 2),
+            # The first nonzero lag of the grid is named.
+            ([*sweep, "--grid", "0,3,1"], 3),
+        ):
+            assert main(argv) == 2, argv
+            error = f"error: lag {lag} needs consecutive years, but 1995 follows 1991\n"
+            assert capsys.readouterr() == ("", error)
+            assert not report.exists()
+        # Lag 0 reads the series as it is.
+        for argv in (fit, [*fit, "--lag", "0"], [*sweep, "--grid", "0,0"]):
+            assert main(argv) == 0, argv
+            report.unlink()
 
     def test_sweep_requires_threshold_for_non_threshold_axes(self, workdir, capsys):
         with pytest.raises(SystemExit) as err:

@@ -269,11 +269,18 @@ def test_quorum_sweep_rows_match_one_reference_backtest_each(data):
 
 
 def expected_row(m, labels, selection, cfg):
-    """Status, counts and note of one data-changing grid point, from the reference."""
+    """Status, counts and note of one data-changing grid point, from the reference.
+
+    A point is skipped when it has too few critical years, or else when a
+    rolling replay of it has no forecast origin.
+    """
     if labels.n_critical < cfg.min_train_critical:
         note = f"{labels.n_critical} critical years, {cfg.min_train_critical} required"
-        return "skipped", (None, None, None, None), note
-    return "ok", reference_backtest(m, labels, selection, cfg)[1], ""
+    elif cfg.eval_mode == "rolling" and m.n_years <= cfg.min_train_years:
+        note = f"{m.n_years} years, {cfg.min_train_years + 1} required"
+    else:
+        return "ok", reference_backtest(m, labels, selection, cfg)[1], ""
+    return "skipped", (None, None, None, None), note
 
 
 def assert_rows(report, expected):
@@ -285,6 +292,16 @@ def assert_rows(report, expected):
 def test_data_changing_sweeps_match_reference(data):
     m, labels, selection, cfg = data.draw(configurations())
     labels = label_critical(m, labels.threshold)
+    if data.draw(st.booleans()):
+        # A rolling sweep whose training span nears n: some lags and windows leave no origin.
+        cfg = BacktestConfig(
+            cfg.rule,
+            cfg.threshold,
+            max(3, m.n_years - data.draw(st.integers(0, 2))),
+            cfg.min_train_critical,
+            "rolling",
+            cfg.widen_eps,
+        )
 
     # Observed values, midpoints, a value below all and several above: grid points
     # that share a labeling come in any order, repeat, and include 0.0 beside -0.0.
@@ -310,7 +327,8 @@ def test_data_changing_sweeps_match_reference(data):
     assert [row.configuration for row in report.rows] == [format_number(v) for v in grid]
     assert_rows(report, expected)
 
-    lags = tuple(range(min(3, m.n_years)))
+    # Lags and windows come in any order and repeat.
+    lags = tuple(data.draw(st.lists(st.integers(0, m.n_years - 1), min_size=1, max_size=6)))
     report = lag_sweep(m, labels, SweepSpec("lag", selection, cfg, lags))
     expected = []
     for lag in lags:
@@ -325,11 +343,14 @@ def test_data_changing_sweeps_match_reference(data):
         )
         lagged_labels = label_critical(lagged, labels.threshold)
         expected.append(expected_row(lagged, lagged_labels, selection, cfg))
+    assert [row.configuration for row in report.rows] == list(map(str, lags))
     assert_rows(report, expected)
 
-    lengths = tuple(range(cfg.min_train_years, m.n_years + 2))
+    lengths = range(cfg.min_train_years, m.n_years + 2)
     if not lengths:
         return
+    repeats = data.draw(st.lists(st.sampled_from(lengths), max_size=4))
+    lengths = (*data.draw(st.permutations(lengths)), *repeats)
     report = row_length_sweep(m, labels, SweepSpec("row_length", selection, cfg, lengths))
     expected = []
     for k in lengths:
@@ -340,6 +361,7 @@ def test_data_changing_sweeps_match_reference(data):
         window = m.window(m.n_years - k, m.n_years)
         window_labels = label_critical(window, labels.threshold)
         expected.append(expected_row(window, window_labels, selection, cfg))
+    assert [row.configuration for row in report.rows] == list(map(str, lengths))
     assert_rows(report, expected)
 
 
