@@ -183,9 +183,10 @@ class TemporalMatrix(Frozen):
         """
         out = io.StringIO()
         # Factor names may need quoting; numerals never do, so body rows are plain joins.
+        # The constructor made every column float, so ``float.__repr__`` is ``format_number``.
         csv.writer(out, lineterminator="\n").writerow(["year", "incidence", *self.factor_names])
         columns = (self.incidence, *(self.columns[name] for name in self.factor_names))
-        cells = (map(str, self.years), *(map(format_number, col) for col in columns))
+        cells = (map(str, self.years), *(map(float.__repr__, col) for col in columns))
         out.writelines([",".join(row) + "\n" for row in zip(*cells)])
         return out.getvalue()
 
@@ -261,18 +262,28 @@ def read_columns(
 
     The header starts with the ``leading`` cells: the integer year column,
     then float columns. The ``factors`` columns follow, each the first header
-    cell of that name; ``None`` takes every later column, which must then be
-    named. Other columns are not converted, but every row must be as wide as
-    the header. ``distinct_years`` rejects a repeated year where it repeats.
-    Returns the float columns' names, the years and the columns, in row order.
-    When a check fails, ``_read_rows`` reads again row by row to report the
-    first bad row (the header is row 1).
+    cell of that name after the leading cells; ``None`` takes every later
+    column, which must then be named. Other columns are not converted, but
+    every row must be as wide as the header. ``distinct_years`` rejects a
+    repeated year where it repeats. Returns the float columns' names, the
+    years and the columns, in row order. When a check fails, ``_read_rows``
+    reads again row by row to report the first bad row (the header is row 1).
+
+    ``csv.reader`` reads a document only if it holds a ``"``, a ``\\r`` or a
+    NUL, or a line longer than ``csv.field_size_limit()``: only there can the
+    two tokenizations differ. Any other document is split on ``"\\n"`` and
+    ``","``, an empty line read as ``[]`` as ``csv.reader`` reads it.
     """
-    reader = csv.reader(io.StringIO(text))
-    try:
-        rows = list(reader)
-    except csv.Error as exc:
-        raise MatrixError(f"malformed CSV at line {reader.line_num}: {exc}") from None
+    lines = text.split("\n")
+    plain = not ('"' in text or "\r" in text or "\0" in text)
+    if plain and max(map(len, lines)) <= csv.field_size_limit():
+        rows = [line.split(",") if line else [] for line in lines]
+    else:
+        reader = csv.reader(io.StringIO(text))
+        try:
+            rows = list(reader)
+        except csv.Error as exc:
+            raise MatrixError(f"malformed CSV at line {reader.line_num}: {exc}") from None
     while rows and rows[-1] == []:
         rows.pop()
     if not rows:
@@ -290,7 +301,7 @@ def read_columns(
         positions = list(range(1, len(leading)))
         for name in factors:
             try:
-                positions.append(header.index(name))
+                positions.append(header.index(name, len(leading)))
             except ValueError:
                 raise MissingFactorValue(name) from None
     names = [header[i] for i in positions]

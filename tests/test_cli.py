@@ -191,6 +191,23 @@ class TestBehavior:
         predictions = {row["year"]: row["prediction"] for row in body["result"]["predictions"]}
         assert predictions == {2031: "critical", 2032: "non_critical"}
 
+    def test_classify_reads_a_factor_named_year_after_the_year_column(self, tmp_path, capsys):
+        train, rows, profile = tmp_path / "train.csv", tmp_path / "rows.csv", tmp_path / "p.json"
+        train.write_text(
+            "year,incidence,year,g\n1990,12,50,1.0\n1991,3,40,0.2\n1992,15,55,1.2\n1993,2,60,3\n",
+            encoding="utf-8",
+        )
+        rows.write_text("year,year,g\n2000,51,1.1\n", encoding="utf-8")
+        fit = ["fit", "--input", str(train), "--threshold", "10", "--save-profile", str(profile)]
+        assert main(fit) == 0
+        intervals = json.loads(profile.read_text(encoding="utf-8"))["profile"]["intervals"]
+        assert [(i["factor"], i["lo"], i["hi"]) for i in intervals[:1]] == [("year", 50.0, 55.0)]
+        capsys.readouterr()
+        classify = ["classify", "--input", str(rows), "--profile", str(profile), "--format", "json"]
+        assert main(classify) == 0
+        predictions = json.loads(capsys.readouterr().out)["result"]["predictions"]
+        assert predictions == [{"membership": 2, "prediction": "critical", "year": 2000}]
+
     @pytest.mark.parametrize("name", ["fit.txt", "fit.json", "classify.txt"])
     def test_byte_order_mark_is_ignored(self, workdir, name):
         """A UTF-8 input with a leading BOM reports as without one, but for its digest."""

@@ -2,11 +2,16 @@
 
 ``parse_matrix``, classify's ``read_columns`` call, ``TemporalMatrix``
 construction and ``to_csv`` must return what ``_reference_io`` returns, or
-raise the same exception class with the same message. The one allowed
-difference is classify's wording for a short row or an empty cell, which now
-reads ``missing value in row N, column 'X'`` as ``parse_matrix`` always did.
+raise the same exception class with the same message. Two differences are
+intended. Classify words a short row or an empty cell as ``missing value in
+row N, column 'X'``, as ``parse_matrix`` always did. And classify looks a
+factor up after the year column, so a profile factor named ``year`` reads the
+factor column, not the years (``tests/test_cli.py`` pins it); the reference
+looks it up from the first column, and ``classify_documents`` never asks for
+a factor named ``year``.
 """
 
+import csv
 import math
 import re
 
@@ -15,7 +20,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from factorcast import parse_matrix
-from factorcast.errors import DuplicateYear, FactorcastError, MissingCell, NonNumericCell
+from factorcast.errors import (
+    DuplicateYear,
+    FactorcastError,
+    MatrixError,
+    MissingCell,
+    NonNumericCell,
+)
 from factorcast.matrix import TemporalMatrix, read_columns
 
 import _reference_io as ref
@@ -43,10 +54,12 @@ def documents(draw, header):
     """A CSV document: the header, then rows that are sometimes ragged or blank.
 
     Each document draws how often a cell is odd (never, sometimes, often),
-    whether rows may be ragged and whether years already increase, so clean
-    documents that parse, with and without sorting, are common too.
+    whether rows may be ragged, whether years already increase and whether
+    lines end in ``"\\r\\n"`` (one in three), so clean documents that parse,
+    with and without sorting, are common too.
     """
     odds = draw(st.sampled_from((0, 1, 5)))
+    newline = draw(st.sampled_from(("\n", "\n", "\r\n")))
     ragged = draw(st.booleans())
     increasing = draw(st.booleans())
 
@@ -61,7 +74,7 @@ def documents(draw, header):
             continue
         year = cell([str(1990 + 2 * i)] if increasing else YEARS)
         lines.append(",".join([year, *(cell(NUMBERS) for _ in range(width - 1))]))
-    return "\n".join(lines) + "\n" * draw(st.integers(0, 3))
+    return newline.join(lines) + newline * draw(st.integers(0, 3))
 
 
 @st.composite
@@ -174,6 +187,81 @@ def test_repeated_year_in_row_order_precedes_later_bad_cell():
     got = outcome(lambda: read_columns(text, ("year",), ("f",), distinct_years=True))
     want = outcome(ref._parse_factor_rows, text, ("f",))
     assert got == want == (DuplicateYear, "duplicate year 2001")
+
+
+class CsvReaderCalled(Exception):
+    pass
+
+
+def refuse_csv_reader(*args, **kwargs):
+    """Stands in for ``csv.reader`` to show which documents reach it."""
+    raise CsvReaderCalled
+
+
+PLAIN = "year,incidence,f,g\n1992,3,1,-2\n1990,12,0.5,7\n1991,0,1_0, 4 \n\n"
+# A document that ``csv.reader`` must read, for each case that can read
+# differently when split on newlines and commas. The long line's last cell is
+# as long as the csv module allows one field to be, so it still reads.
+LONG_CELL = "0" * (csv.field_size_limit() - 1) + "7"
+GUARDED = {
+    "quoted header": 'year,incidence,"f",g\n1990,12,0.5,7\n1991,0,1,4\n1992,3,1,-2\n',
+    "crlf": "year,incidence,f,g\r\n1990,12,0.5,7\r\n1991,0,1,4\r\n1992,3,1,-2\r\n",
+    "nul": "year,incidence,f,g\n1990,12,0.5,\x007\n1991,0,1,4\n1992,3,1,-2\n",
+    "long line": f"year,incidence,f,g\n1990,12,0.5,{LONG_CELL}\n1991,0,1,4\n1992,3,1,-2\n",
+}
+
+
+def readers(text):
+    """``parse_matrix`` and classify's ``read_columns`` call on ``text``, with their references."""
+    return [
+        (lambda: parse_matrix(text), lambda: ref.parse_matrix(text)),
+        (
+            lambda: read_columns(text, ("year",), ("g", "f"), distinct_years=True),
+            lambda: ref._parse_factor_rows(text, ("g", "f")),
+        ),
+    ]
+
+
+def reference_outcome(fn):
+    """``outcome`` of a reference reader, a ``csv.Error`` worded as ``read_columns`` words it.
+
+    Before Python 3.11 ``csv.reader`` rejects a NUL; the one guarded
+    document that holds one holds it on line 2.
+    """
+    try:
+        return outcome(fn)
+    except csv.Error as exc:
+        return MatrixError, f"malformed CSV at line 2: {exc}"
+
+
+def same_outcome(got, want):
+    """Whether two outcomes agree, comparing floats by their repr."""
+    if got[0] != "ok" or want[0] != "ok":
+        return got == want
+    if isinstance(got[1], TemporalMatrix):
+        return matrix_fields(got[1]) == matrix_fields(want[1])
+    _, years, columns = got[1]
+    return (years, float_bits(columns)) == (want[1][0], float_bits(want[1][1]))
+
+
+def test_plain_document_is_split_without_csv_reader(monkeypatch):
+    with monkeypatch.context() as patched:
+        patched.setattr("factorcast.matrix.csv.reader", refuse_csv_reader)
+        results = [outcome(read) for read, _ in readers(PLAIN)]
+    assert [got[0] for got in results] == ["ok", "ok"]
+    for got, (_, reference) in zip(results, readers(PLAIN)):
+        assert same_outcome(got, outcome(reference))
+
+
+@pytest.mark.parametrize("text", GUARDED.values(), ids=GUARDED.keys())
+def test_guarded_document_goes_to_csv_reader(monkeypatch, text):
+    with monkeypatch.context() as patched:
+        patched.setattr("factorcast.matrix.csv.reader", refuse_csv_reader)
+        for read, _ in readers(text):
+            with pytest.raises(CsvReaderCalled):
+                read()
+    for read, reference in readers(text):
+        assert same_outcome(outcome(read), reference_outcome(reference))
 
 
 special_floats = st.sampled_from(
