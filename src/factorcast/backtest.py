@@ -101,18 +101,34 @@ def select_threshold(m: TemporalMatrix, min_critical: int = 2) -> CriticalThresh
     return CriticalThreshold(m.incidence[m.incidence.index(value)], "selected")
 
 
-def threshold_value(labels: CriticalLabels, cfg: BacktestConfig) -> float:
-    """The labels' threshold value, which must be the configuration's."""
+def threshold_value(m: TemporalMatrix, labels: CriticalLabels, cfg: BacktestConfig) -> float:
+    """The threshold value of ``labels``, which must be built for ``m`` at ``cfg``'s threshold."""
+    check_labels(m, labels)
     if labels.threshold.value != cfg.threshold.value:
         raise ValueError("labels threshold differs from backtest config threshold")
     return labels.threshold.value
 
 
-def config_lanes(
-    columns: Sequence[Sequence[float]], critical: Sequence[bool], cfg: BacktestConfig
-) -> Lanes:
-    """The kernel in ``cfg``'s mode trained on ``critical`` (rolling skips ``min_train_years``)."""
-    return membership_lanes(
+def evaluation_lanes(
+    m: TemporalMatrix,
+    names: Sequence[str],
+    flags: Sequence[bool],
+    value: float,
+    cfg: BacktestConfig,
+    lag: int = 0,
+) -> tuple[Lanes, Sequence[bool]]:
+    """Kernel lanes of the years ``cfg.eval_mode`` evaluates in one window, and their truth.
+
+    The window scores factor rows ``[n - lag - k, n - lag)`` of ``m`` against
+    its last ``k = len(flags)`` rows. Rolling trains on the window's rows with
+    incidence at or above ``value``, the other modes on ``flags``; the truth of
+    every mode is ``flags``. ``lanes.factors[j]`` stands for ``names[j]``; an
+    unscored row is a ``no_forecast``.
+    """
+    n, k = m.n_years, len(flags)
+    columns = [m.factor_values(name)[n - lag - k : n - lag] for name in names]
+    critical = [v >= value for v in m.incidence[n - k :]] if cfg.eval_mode == "rolling" else flags
+    lanes = membership_lanes(
         columns,
         critical,
         cfg.eval_mode,
@@ -120,26 +136,7 @@ def config_lanes(
         start=cfg.min_train_years,
         min_critical=cfg.min_train_critical,
     )
-
-
-def evaluation_lanes(
-    m: TemporalMatrix,
-    labels: CriticalLabels,
-    names: Sequence[str],
-    cfg: BacktestConfig,
-) -> tuple[Lanes, tuple[bool, ...]]:
-    """Kernel lanes of the years ``cfg.eval_mode`` evaluates, and their truth.
-
-    ``lanes.factors[j]`` stands for ``names[j]``; an unscored row is a
-    ``no_forecast``. Rolling training relabels the series from
-    ``labels.threshold``, while the truth of every year is read from ``labels``.
-    """
-    check_labels(m, labels)
-    value = threshold_value(labels, cfg)
-    rolling = cfg.eval_mode == "rolling"
-    critical = tuple(v >= value for v in m.incidence) if rolling else labels.is_critical
-    lanes = config_lanes([m.factor_values(name) for name in names], critical, cfg)
-    return lanes, labels.is_critical[m.n_years - lanes.rows :]
+    return lanes, flags[k - lanes.rows :]
 
 
 # Builds a Verdict from one (year, prediction, membership, truth) tuple. Verdict._make
@@ -177,7 +174,8 @@ def rolling_backtest(
     ``no_forecast`` total, and the sum's lanes unpack into the per-year
     membership counts of the verdicts.
     """
-    lanes, truth = evaluation_lanes(m, labels, selection.names, cfg)
+    value = threshold_value(m, labels, cfg)
+    lanes, truth = evaluation_lanes(m, selection.names, labels.is_critical, value, cfg)
     required = cfg.rule.required(selection.n_factors)
     years = m.years[m.n_years - lanes.rows :]
     total = sum(lanes.factors)

@@ -269,13 +269,18 @@ def read_columns(
     years and the columns, in row order. When a check fails, ``_read_rows``
     reads again row by row to report the first bad row (the header is row 1).
 
-    ``csv.reader`` reads a document only if it holds a ``"``, a ``\\r`` or a
-    NUL, or a line longer than ``csv.field_size_limit()``: only there can the
-    two tokenizations differ. Any other document is split on ``"\\n"`` and
-    ``","``, an empty line read as ``[]`` as ``csv.reader`` reads it.
+    A NUL anywhere is rejected first, on the line that holds it: ``csv.reader``
+    rejects one before Python 3.11 and reads it as text after. ``csv.reader``
+    reads a document only if it holds a ``"`` or a ``\\r``, or a line longer
+    than ``csv.field_size_limit()``: only there can the two tokenizations
+    differ. Any other document is split on ``"\\n"`` and ``","``, an empty line
+    read as ``[]`` as ``csv.reader`` reads it.
     """
+    if "\0" in text:
+        line = text.count("\n", 0, text.index("\0")) + 1
+        raise MatrixError(f"malformed CSV at line {line}: line contains NUL")
     lines = text.split("\n")
-    plain = not ('"' in text or "\r" in text or "\0" in text)
+    plain = not ('"' in text or "\r" in text)
     if plain and max(map(len, lines)) <= csv.field_size_limit():
         rows = [line.split(",") if line else [] for line in lines]
     else:

@@ -4,10 +4,12 @@ Each sweep varies exactly one axis of a base configuration and reports one
 row per grid point. Reports are deterministic for fixed inputs: grid order is
 preserved, factor subsets are enumerated by size then lexicographically, and
 infeasible grid points stay in the report as skipped rows so the sweep shape
-always matches the grid. The threshold, lag and row-length sweeps share one
-path: a grid point is a row slice plus a labeling, points with the same pair
+always matches the grid. Every axis takes an evaluation's training rows and
+truth from :func:`backtest.evaluation_lanes`. On the threshold, lag and
+row-length axes a grid point is a row window plus its flags (a relabel on the
+threshold axis, the labels' flags on the other two); points with the same pair
 share one kernel pass, and one skip policy (window longer than the series, too
-few critical years, no rolling forecast origin) covers all three axes.
+few critical years in the flags, no rolling forecast origin) covers all three.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from functools import partial
 from itertools import combinations
 from typing import Iterable, NamedTuple
 
-from .backtest import BacktestConfig, config_lanes, evaluation_lanes, threshold_value
+from .backtest import BacktestConfig, evaluation_lanes, threshold_value
 from .errors import TooManyFactors, WindowTooShort
 from .matrix import (
     CriticalLabels,
@@ -96,34 +98,33 @@ def _skipped_row(label: str, note: str) -> SweepRow:
 
 
 def _sliced_sweep(axis: str, m: TemporalMatrix, spec: SweepSpec, points: list) -> SweepReport:
-    """One row per ``(label, value, lag, length)`` point, scored on row slices of ``m``.
+    """One row per ``(label, value, lag, flags)`` point, scored by :func:`evaluation_lanes`.
 
-    Factor rows ``[n - lag - length, n - lag)`` are scored against the last
-    ``length`` incidence rows, whose values at or above ``value`` train and
-    are truth; a ``length`` of None is a window longer than the series. A
-    point is skipped when its window exceeds the series, when it holds too
-    few critical years, or when a rolling replay has no forecast origin, in
-    that order. Points with the same slice and labeling share one kernel pass.
+    A point is that function's window: factor rows ``[n - lag - k, n - lag)``
+    against the last ``k = len(flags)`` years; ``flags`` of None is a window
+    longer than the series. A point is skipped when its window exceeds the
+    series, when its flags hold too few critical years, or when a rolling
+    replay has no forecast origin, in that order. Points with the same lag and
+    flags share one kernel pass: ``value`` varies only on the threshold axis,
+    whose flags are the rolling training rows themselves.
     """
-    cfg, n = spec.config, m.n_years
-    columns = [m.factor_values(name) for name in spec.selection.names]
-    required = cfg.rule.required(len(columns))
-    scores: dict[tuple, tuple[int, int, int]] = {}  # (lag, length, labeling) -> x, y, no_forecast
+    cfg, n, names = spec.config, m.n_years, spec.selection.names
+    required = cfg.rule.required(len(names))
+    scores: dict[tuple, tuple[int, int, int]] = {}  # (lag, flags) -> x, y, no_forecast
     rows = []
-    for label, value, lag, length in points:
-        if length is None:
+    for label, value, lag, flags in points:
+        if flags is None:
             rows.append(_skipped_row(label, f"window exceeds {n}-year series"))
             continue
-        critical = [v >= value for v in m.incidence[n - length :]]
-        key, n_critical = (lag, length, bytes(critical)), sum(critical)
+        packed = bytes(flags)
+        key, n_critical, length = (lag, packed), packed.count(1), len(packed)
         if n_critical < cfg.min_train_critical:
             note = f"{n_critical} critical years, {cfg.min_train_critical} required"
         elif cfg.eval_mode == "rolling" and length <= cfg.min_train_years:
             note = f"{length} years, {cfg.min_train_years + 1} required"
         elif key not in scores:
-            lanes = config_lanes([c[n - lag - length : n - lag] for c in columns], critical, cfg)
-            score = lanes.scorer(critical[length - lanes.rows :])
-            scores[key] = score(sum(lanes.factors), required)
+            lanes, truth = evaluation_lanes(m, names, flags, value, cfg, lag)
+            scores[key] = lanes.scorer(truth)(sum(lanes.factors), required)
         # The skip rules read only the key, so a key is scored exactly when its point is ok.
         rows.append(_ok_row(label, *scores[key]) if key in scores else _skipped_row(label, note))
     return SweepReport(axis, tuple(rows))
@@ -167,7 +168,8 @@ def subset_sweep(
         grid = [FactorSelection(subset).names for subset in spec.grid]
         subsets = [tuple(index.setdefault(name, len(index)) for name in sub) for sub in grid]
         names = tuple(index)
-    lanes, truth = evaluation_lanes(m, labels, names, spec.config)
+    value = threshold_value(m, labels, spec.config)
+    lanes, truth = evaluation_lanes(m, names, labels.is_critical, value, spec.config)
     score, factors = lanes.scorer(truth), lanes.factors
     required = {size: spec.config.rule.required(size) for size in range(1, len(names) + 1)}
     # sums: the lane sums of the latest size's subsets; previous: those one factor smaller.
@@ -192,8 +194,8 @@ def quorum_sweep(
     and each grid point is one SWAR step of that sum against its own ``required``.
     """
     rules = [QuorumRule(float(q)) for q in spec.grid]
-    n = spec.selection.n_factors
-    lanes, truth = evaluation_lanes(m, labels, spec.selection.names, spec.config)
+    n, value = spec.selection.n_factors, threshold_value(m, labels, spec.config)
+    lanes, truth = evaluation_lanes(m, spec.selection.names, labels.is_critical, value, spec.config)
     total, score = sum(lanes.factors), lanes.scorer(truth)
     rows = [_ok_row(format_number(r.q), *score(total, r.required(n))) for r in rules]
     return SweepReport("quorum", tuple(rows))
@@ -206,21 +208,21 @@ def threshold_sensitivity(m: TemporalMatrix, spec: SweepSpec) -> SweepReport:
     row; thresholds that the same incidence values reach share one kernel pass.
     """
     values = [CriticalThreshold(float(value), "selected").value for value in spec.grid]
-    points = [(format_number(value), value, 0, m.n_years) for value in values]
+    points = [(format_number(v), v, 0, [x >= v for x in m.incidence]) for v in values]
     return _sliced_sweep("threshold", m, spec, points)
 
 
 def lag_sweep(m: TemporalMatrix, labels: CriticalLabels, spec: SweepSpec) -> SweepReport:
     """One row per lag L: each selected column's first n - L rows against the last n - L years.
 
-    Too few critical years, or no rolling forecast origin in the n - L rows,
-    makes a skipped row; a repeated lag shares its kernel pass.
+    Their ``labels`` flags are truth; too few critical years among them, or no
+    rolling forecast origin, makes a skipped row; a repeated lag shares its kernel pass.
     """
-    value, n = threshold_value(labels, spec.config), m.n_years
+    value, n, flags = threshold_value(m, labels, spec.config), m.n_years, labels.is_critical
     lags = [int(lag) for lag in spec.grid]
     for lag in lags:
         check_lag(lag, n)
-    return _sliced_sweep("lag", m, spec, [(str(lag), value, lag, n - lag) for lag in lags])
+    return _sliced_sweep("lag", m, spec, [(str(lag), value, lag, flags[lag:]) for lag in lags])
 
 
 def row_length_sweep(
@@ -228,16 +230,16 @@ def row_length_sweep(
 ) -> SweepReport:
     """One row per trailing-window length k: the last k rows of the columns and incidence.
 
-    Grid values below ``min_train_years`` raise. A window longer than the series,
-    with too few critical years or with no rolling forecast origin makes a
-    skipped row; a repeated window shares its kernel pass.
+    Their ``labels`` flags are truth. Grid values below ``min_train_years`` raise.
+    A window longer than the series, with too few critical years or with no
+    rolling forecast origin makes a skipped row; a repeated window shares its pass.
     """
-    value, minimum = threshold_value(labels, spec.config), spec.config.min_train_years
+    value, n = threshold_value(m, labels, spec.config), m.n_years
     lengths = [int(k) for k in spec.grid]
     for k in lengths:
-        if k < minimum:
-            raise WindowTooShort(k, minimum)
-    points = [(str(k), value, 0, k if k <= m.n_years else None) for k in lengths]
+        if k < spec.config.min_train_years:
+            raise WindowTooShort(k, spec.config.min_train_years)
+    points = [(str(k), value, 0, labels.is_critical[n - k :] if k <= n else None) for k in lengths]
     return _sliced_sweep("row_length", m, spec, points)
 
 

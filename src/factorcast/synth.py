@@ -100,6 +100,9 @@ class PlantSpec(Frozen):
             raise InvalidSpec("n_adversarial must be in [0, n_factors]")
         if not (math.isfinite(incidence_threshold) and incidence_threshold > 0):
             raise InvalidSpec("incidence_threshold must be finite and positive")
+        if not math.isfinite(2.0 * incidence_threshold):
+            # Critical incidence is drawn up to twice the threshold.
+            raise InvalidSpec("incidence_threshold must be at most half the largest float")
         if intervals is not None:
             if len(intervals) != n_factors:
                 raise InvalidSpec("intervals must list one (lo, hi) pair per factor")

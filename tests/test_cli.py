@@ -642,6 +642,14 @@ class TestBadInput:
         assert err.count("\n") == 1
         assert not output.exists()
 
+    # Critical incidence reaches twice the threshold, which overflows here.
+    def test_synth_threshold_too_large_is_data_error(self, tmp_path, capsys):
+        output = tmp_path / "x.csv"
+        assert main(["synth", "--output", str(output), "--threshold", "1e308"]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: incidence_threshold must be at most half the largest float\n"
+        assert not output.exists()
+
 
 WORKED_EXAMPLE = (FIXTURES / "worked_example.csv").read_bytes()
 

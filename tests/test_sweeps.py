@@ -13,6 +13,7 @@ from factorcast import (
 )
 from factorcast.errors import (
     InvalidQuorum,
+    LabelMismatch,
     LagTooLarge,
     TooManyFactors,
     UnknownFactor,
@@ -375,6 +376,46 @@ class TestSlicedSweeps:
         labels = label_critical(THREE_FACTOR, CriticalThreshold(9.0))
         with pytest.raises(ValueError, match="labels threshold differs"):
             sweep(THREE_FACTOR, labels, spec_for(axis, grid))
+
+    # Labels of the same length built for other years; the 40-year window is skipped.
+    @pytest.mark.parametrize(
+        "sweep,axis,grid", [(lag_sweep, "lag", (0, 2)), (row_length_sweep, "row_length", (40,))]
+    )
+    def test_labels_for_other_years_raise(self, sweep, axis, grid):
+        labels = CriticalLabels(range(1990, 1996), LABELS.is_critical, THRESHOLD)
+        with pytest.raises(LabelMismatch):
+            sweep(THREE_FACTOR, labels, spec_for(axis, grid))
+
+
+# Labels flagged by hand on years whose incidence is below the threshold: the
+# rolling replay trains on incidence >= 9, every mode scores against the flags.
+HAND_SET = make_matrix(
+    (1.0, 9.0, 2.0, 9.0, 3.0, 9.0, 4.0, 9.0), g=(5.0, 1.0, 5.0, 2.0, 5.0, 3.0, 5.0, 4.0)
+)
+HAND_SET_LABELS = CriticalLabels(
+    HAND_SET.years, [year in (2000, 2002, 2004) for year in HAND_SET.years], CriticalThreshold(9.0)
+)
+
+
+@pytest.mark.parametrize("widen_eps", [0.0, 1.0])
+@pytest.mark.parametrize("mode", ["rolling", "leave_one_out", "in_sample"])
+def test_unsliced_points_of_hand_set_labels_match_backtest_and_quorum_row(mode, widen_eps):
+    """Lag 0 and the full window score the backtest's years against the same truth."""
+    cfg = BacktestConfig(QuorumRule(1.0), HAND_SET_LABELS.threshold, 3, 2, mode, widen_eps)
+    selection = FactorSelection(("g",))
+
+    def counts(sweep, axis, grid):
+        report = sweep(HAND_SET, HAND_SET_LABELS, SweepSpec(axis, selection, cfg, grid))
+        return report.rows[0][1:]  # all but the configuration label
+
+    quorum = counts(quorum_sweep, "quorum", (1.0,))
+    assert counts(lag_sweep, "lag", (0,)) == quorum
+    assert counts(row_length_sweep, "row_length", (8,)) == quorum
+    _, x, y, p, n_no_forecast, _ = quorum
+    result = rolling_backtest(HAND_SET, HAND_SET_LABELS, selection, cfg)
+    assert (x, y, n_no_forecast) == (result.x, result.y, result.n_no_forecast)
+    if mode != "rolling" and widen_eps == 0.0:
+        assert (x, y, p) == (3, 1, 0.75)
 
 
 class TestKernelPasses:

@@ -314,6 +314,8 @@ INVALID = [
      "n_adversarial must be in [0, n_factors]"),
     (lambda: PlantSpec(incidence_threshold=0.0), InvalidSpec,
      "incidence_threshold must be finite and positive"),
+    (lambda: PlantSpec(incidence_threshold=1e308), InvalidSpec,
+     "incidence_threshold must be at most half the largest float"),
     (lambda: PlantSpec(intervals=((10, 20),)), InvalidSpec,
      "intervals must list one (lo, hi) pair per factor"),
     (lambda: PlantSpec(n_factors=1, intervals=((5, 3),)), InvalidSpec,
