@@ -44,6 +44,11 @@ class BacktestConfig(Frozen):
         eval_mode: EvalMode = "rolling",
         widen_eps: float = 0.0,
     ):
+        # The kernel indexes rows with both counts.
+        counts = {"min_train_years": min_train_years, "min_train_critical": min_train_critical}
+        for name, count in counts.items():
+            if not isinstance(count, int):
+                raise ValueError(f"{name} must be an int, got {count!r}")
         if min_train_years < 3:
             raise ValueError("min_train_years must be at least 3")
         if min_train_critical < 2:

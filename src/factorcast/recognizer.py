@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from itertools import accumulate, compress
+from itertools import compress
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import InvalidQuorum, LabelMismatch, MissingFactorValue, NoCriticalYears
@@ -227,16 +227,30 @@ def membership_lanes(
     ones = _to_lane(b"\x01" * rows, w)
     eps = float(widen_eps)
     if rolling:
-        # The first scored row has min_critical critical rows before it.
-        before = list(accumulate(critical, initial=0))
-        first = max(start, bisect_left(before, min_critical))
+        # The critical rows, listed once per pass. The first scored row has
+        # min_critical of them before it (it is past the end when there are
+        # fewer), and those before it seed every column's envelope.
+        idx = list(compress(range(n_rows), critical))
+        if min_critical <= 0:
+            first = 0
+        elif min_critical <= len(idx):
+            first = idx[min_critical - 1] + 1
+        else:
+            first = n_rows + 1
+        first = max(start, first)
         skip = 8 * w * (first - start)
-        head, tail, ks = critical[:first], critical[first:n_rows], range(n_rows - first)
+        head = idx[: bisect_left(idx, first)]
+        tail, ks = critical[first:n_rows], range(n_rows - first)
         lanes = []
         for col in columns:
-            seed = list(compress(col, head))
-            # A conditional seeds an empty envelope: keyword min/max calls cost more per column.
-            a, b = (min(seed), max(seed)) if seed else (math.inf, -math.inf)
+            # Strict comparisons keep the first of equal extremes, as min and max do.
+            a, b = math.inf, -math.inf
+            for i in head:
+                v = col[i]
+                if v < a:
+                    a = v
+                if v > b:
+                    b = v
             lo, hi = a - eps, b + eps
             buf = bytearray(len(tail))
             # Score a row against the rows before it, then fold it in if critical.

@@ -78,8 +78,28 @@ class PlantSpec(Frozen):
         incidence_threshold: float = 10.0,
         start_year: int = 1990,
     ):
-        if intervals is not None:
-            intervals = tuple((float(lo), float(hi)) for lo, hi in intervals)
+        try:
+            critical_fraction, noise_prob = float(critical_fraction), float(noise_prob)
+            incidence_threshold = float(incidence_threshold)
+            if intervals is not None:
+                intervals = tuple((float(lo), float(hi)) for lo, hi in intervals)
+        except (TypeError, ValueError, OverflowError):
+            raise InvalidSpec(
+                "critical_fraction, noise_prob, incidence_threshold and each planted"
+                " (lo, hi) must be numbers that fit a float"
+            ) from None
+        counts = {
+            "n_years": n_years,
+            "n_factors": n_factors,
+            "lag_shift": lag_shift,
+            "n_adversarial": n_adversarial,
+            "start_year": start_year,
+        }
+        if regime_change_year is not None:
+            counts["regime_change_year"] = regime_change_year
+        for name, count in counts.items():
+            if not isinstance(count, int):
+                raise InvalidSpec(f"{name} must be an int, got {count!r}")
         if n_years < 5:
             raise InvalidSpec(f"n_years must be at least 5, got {n_years}")
         if n_factors < 1:

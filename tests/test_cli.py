@@ -23,6 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from factorcast.cli import build_parser, main
+from factorcast.matrix import TemporalMatrix
 
 from _support import FIXTURES, GOLDEN, GOLDEN_CASES, run_cli_to_file, setup_cli_workdir
 
@@ -654,6 +655,17 @@ class TestBadInput:
 WORKED_EXAMPLE = (FIXTURES / "worked_example.csv").read_bytes()
 
 
+def run_main(argv):
+    """``(exit code, stdout, stderr)`` of one in-process ``main`` call, usage errors included."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, stdout.getvalue(), stderr.getvalue()
+
+
 # Byte runs that CSV, number and JSON readers treat specially.
 SPECIAL_BYTES = [b"\r", b"\n", b",", b'"', b"\x00", b"\xff", b" ", b"-", b"nan", b"1e999", b"{"]
 
@@ -672,7 +684,10 @@ def mangled(draw, seed: bytes):
 
 
 class TestFuzz:
-    """Arbitrary input and profile bytes end in exit 0, 1 or 2, never a traceback."""
+    """Arbitrary input and profile bytes end in exit 0, 1 or 2, never a traceback.
+
+    A data error (exit 2) prints exactly one line, which starts with ``error: ``.
+    """
 
     def run(self, argv, files):
         with tempfile.TemporaryDirectory() as tmp:
@@ -680,14 +695,11 @@ class TestFuzz:
             for name, data in files.items():
                 paths[name] = Path(tmp, name)
                 paths[name].write_bytes(data)
-            stderr = io.StringIO()
-            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
-                try:
-                    code = main([arg.format(**paths) for arg in argv])
-                except SystemExit as exc:
-                    code = exc.code
+            code, _, err = run_main([arg.format(**paths) for arg in argv])
         assert code in (0, 1, 2)
-        assert "Traceback" not in stderr.getvalue()
+        assert "Traceback" not in err
+        if code == 2:
+            assert err.startswith("error: ") and err.endswith("\n") and err.count("\n") == 1, err
 
     @pytest.mark.parametrize(
         "argv",
@@ -696,8 +708,19 @@ class TestFuzz:
             ["fit", "--input", "{data}", "--select-threshold", "--quorum", "0.5"],
             ["backtest", "--input", "{data}", "--select-threshold", "--min-train-years", "3"],
             ["classify", "--input", "{data}", "--profile", "{profile}"],
+            ["fit", "--input", "{data}", "--threshold", "8", "--lag", "1"],
+            ["backtest", "--input", "{data}", "--threshold", "8", "--lag", "1",
+             "--min-train-years", "3"],
+            ["sweep", "--input", "{data}", "--threshold", "8", "--axis", "quorum",
+             "--grid", "0.5,1"],
+            ["sweep", "--input", "{data}", "--axis", "threshold", "--grid", "3,8,9.5"],
+            ["sweep", "--input", "{data}", "--threshold", "8", "--axis", "lag", "--grid", "0,1",
+             "--mode", "rolling", "--min-train-years", "3"],
         ],
-        ids=["fit", "fit-select", "backtest", "classify"],
+        ids=[
+            "fit", "fit-select", "backtest", "classify", "fit-lag", "backtest-lag",
+            "sweep-quorum", "sweep-threshold", "sweep-lag",
+        ],
     )
     @settings(max_examples=60, deadline=None)
     @given(data=mangled(WORKED_EXAMPLE))
@@ -808,3 +831,80 @@ class TestInvariance:
             changed = [a for a, b in zip(want, got) if a != b]
             assert len(changed) == 2, path.name
             assert all(self.is_input_line(line, fmt) for line in changed), path.name
+
+
+@st.composite
+def lag_cases(draw):
+    """A matrix of consecutive years, a lag L with n - L >= 3, and shared flags."""
+    n = draw(st.integers(4, 10))
+    lag = draw(st.integers(1, n - 3))
+    names = tuple(f"f{j}" for j in range(1, draw(st.integers(1, 3)) + 1))
+    cells = st.lists(st.sampled_from((0.0, 1.0, 1.5, 2.0, 3.0, 5.0)), min_size=n, max_size=n)
+    m = TemporalMatrix(
+        range(2000, 2000 + n),
+        draw(st.lists(st.integers(0, 12).map(float), min_size=n, max_size=n)),
+        names,
+        {name: draw(cells) for name in names},
+    )
+    selected, flags = names, []
+    if draw(st.booleans()):
+        selected = draw(st.permutations(names))[: draw(st.integers(1, len(names)))]
+        flags = ["--factors", ",".join(selected)]
+    values = sorted(set(m.incidence[lag:]))
+    value = draw(st.sampled_from(values))
+    threshold = ["--threshold", repr(value)] if draw(st.integers(0, 3)) else ["--select-threshold"]
+    flags += ["--quorum", draw(st.sampled_from(("0.5", "0.75", "1.0")))]
+    flags += ["--widen-eps", draw(st.sampled_from(("0", "0.5")))]
+    grid = ",".join(map(repr, draw(st.lists(st.sampled_from(values), min_size=1, max_size=3))))
+    mode = ["--mode", draw(st.sampled_from(("rolling", "leave_one_out", "in_sample")))]
+    rows = ["--min-train-years", "3"]
+    commands = [
+        ["fit", *threshold],
+        *(["backtest", *threshold, *rows, "--mode", each]
+          for each in ("rolling", "leave_one_out", "in_sample")),
+        ["sweep", *threshold, *rows, *mode, "--axis", "quorum", "--grid", "0.5,1"],
+        ["sweep", *threshold, *rows, *mode, "--axis", "factor_subset", "--grid", "all"],
+        ["sweep", *threshold, *rows, *mode, "--axis", "row_length", "--grid", f"3,{n - lag}"],
+        ["sweep", *rows, *mode, "--axis", "threshold", "--grid", grid],
+    ]
+    return m, lag, selected, flags, commands
+
+
+class TestLagFlag:
+    """``--lag L`` on a file reports what no lag reports on the file lagged by hand.
+
+    The lagged file keeps incidence and years from row L on, pairs them with
+    the selected factors from row 0 on, and takes any other factor at its own
+    year. The two runs share the exit code, stderr and every report line but
+    the ones that name the input and the lag.
+    """
+
+    SKIP = ("input: ", "input_sha256: ", "lag: ")
+
+    def run(self, argv):
+        code, out, err = run_main(argv)
+        return code, err, [line for line in out.splitlines() if not line.startswith(self.SKIP)]
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=lag_cases())
+    def test_lag_equals_the_file_lagged_by_hand(self, case):
+        m, lag, selected, flags, commands = case
+        n = m.n_years
+        lagged = TemporalMatrix(
+            m.years[lag:],
+            m.incidence[lag:],
+            m.factor_names,
+            {
+                name: col[: n - lag] if name in selected else col[lag:]
+                for name, col in m.columns.items()
+            },
+        )
+        with tempfile.TemporaryDirectory() as tmp:
+            original, shifted = Path(tmp, "original.csv"), Path(tmp, "lagged.csv")
+            original.write_text(m.to_csv(), encoding="utf-8")
+            shifted.write_text(lagged.to_csv(), encoding="utf-8")
+            for command in commands:
+                argv = [*command, *flags]
+                want = self.run([*argv, "--input", str(shifted)])
+                got = self.run([*argv, "--input", str(original), "--lag", str(lag)])
+                assert got == want, argv

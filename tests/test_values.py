@@ -252,6 +252,11 @@ def matrix(**fields):
     return TemporalMatrix(**{**base, **fields})
 
 
+NOT_A_FLOAT = (
+    "critical_fraction, noise_prob, incidence_threshold and each planted (lo, hi)"
+    " must be numbers that fit a float"
+)
+
 # (constructor, exception class, message); each line is one check, in the
 # order the constructor makes them.
 INVALID = [
@@ -296,6 +301,10 @@ INVALID = [
      "min_train_years must be at least 3"),
     (lambda: BacktestConfig(QuorumRule(1.0), THRESHOLD, 5, 1), ValueError,
      "min_train_critical must be at least 2"),
+    (lambda: BacktestConfig(QuorumRule(1.0), THRESHOLD, 5.5), ValueError,
+     "min_train_years must be an int, got 5.5"),
+    (lambda: BacktestConfig(QuorumRule(1.0), THRESHOLD, 5, 2.5), ValueError,
+     "min_train_critical must be an int, got 2.5"),
     (lambda: BacktestConfig(QuorumRule(1.0), THRESHOLD, eval_mode="future"), ValueError,
      "eval_mode must be one of ('rolling', 'leave_one_out', 'in_sample')"),
     (lambda: BacktestConfig(QuorumRule(1.0), THRESHOLD, widen_eps=-1.0), ValueError,
@@ -316,6 +325,12 @@ INVALID = [
      "incidence_threshold must be finite and positive"),
     (lambda: PlantSpec(incidence_threshold=1e308), InvalidSpec,
      "incidence_threshold must be at most half the largest float"),
+    (lambda: PlantSpec(incidence_threshold=10**400), InvalidSpec, NOT_A_FLOAT),
+    (lambda: PlantSpec(n_factors=1, intervals=[(10**400, 10**401)]), InvalidSpec, NOT_A_FLOAT),
+    (lambda: PlantSpec(noise_prob=None), InvalidSpec, NOT_A_FLOAT),
+    (lambda: PlantSpec(n_years=10.5), InvalidSpec, "n_years must be an int, got 10.5"),
+    (lambda: PlantSpec(n_factors=2.0), InvalidSpec, "n_factors must be an int, got 2.0"),
+    (lambda: PlantSpec(lag_shift=1.5), InvalidSpec, "lag_shift must be an int, got 1.5"),
     (lambda: PlantSpec(intervals=((10, 20),)), InvalidSpec,
      "intervals must list one (lo, hi) pair per factor"),
     (lambda: PlantSpec(n_factors=1, intervals=((5, 3),)), InvalidSpec,
