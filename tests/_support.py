@@ -372,6 +372,26 @@ GOLDEN_CASES = [
         lambda d: _planted_long_sweep(d, "threshold", "5,10,19.5,25", "rolling", "json"),
     ),
     (
+        "fit_lag.json",
+        lambda d: [
+            "fit", *_planted(d, "--select-threshold", "--lag", "1", "--format", "json")
+        ],
+    ),
+    ("backtest_lag_rolling.txt", lambda d: [*_planted_long(d, "rolling", "text"), "--lag", "2"]),
+    (
+        # The last window, 39 rows, is longer than the 38 rows that lag 2 leaves.
+        "sweep_row_length_lag.txt",
+        lambda d: _planted_long_sweep(
+            d,
+            "row_length",
+            "20,38,39",
+            "leave_one_out",
+            "text",
+            "--threshold", "10",
+            "--lag", "2",
+        ),
+    ),
+    (
         "sweep_row_length.txt",
         lambda d: [
             "sweep",
