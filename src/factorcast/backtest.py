@@ -15,7 +15,9 @@ from functools import partial
 from typing import Literal, NamedTuple, Sequence
 
 from .errors import InsufficientYears
-from .matrix import CriticalLabels, CriticalThreshold, FactorSelection, Frozen, TemporalMatrix
+from .matrix import (
+    CriticalLabels, CriticalThreshold, FactorSelection, Frozen, TemporalMatrix, check_lag
+)
 from .recognizer import Lanes, QuorumRule, check_labels, membership_lanes, precision
 
 EvalMode = Literal["rolling", "leave_one_out", "in_sample"]
@@ -24,7 +26,7 @@ EVAL_MODES = ("rolling", "leave_one_out", "in_sample")
 
 
 class BacktestConfig(Frozen):
-    """One fixed recognition configuration for a whole backtest."""
+    """One fixed recognition configuration, factor lag included, for a whole backtest."""
 
     __slots__ = (
         "rule",
@@ -33,6 +35,7 @@ class BacktestConfig(Frozen):
         "min_train_critical",
         "eval_mode",
         "widen_eps",
+        "lag",
     )
 
     def __init__(
@@ -43,9 +46,11 @@ class BacktestConfig(Frozen):
         min_train_critical: int = 2,
         eval_mode: EvalMode = "rolling",
         widen_eps: float = 0.0,
+        lag: int = 0,
     ):
-        # The kernel indexes rows with both counts.
+        # The kernel and the evaluation window index rows with these counts.
         counts = {"min_train_years": min_train_years, "min_train_critical": min_train_critical}
+        counts["lag"] = lag
         for name, count in counts.items():
             if not isinstance(count, int):
                 raise ValueError(f"{name} must be an int, got {count!r}")
@@ -57,15 +62,17 @@ class BacktestConfig(Frozen):
             raise ValueError(f"eval_mode must be one of {EVAL_MODES}")
         if not 0 <= widen_eps < math.inf:
             raise ValueError("widen_eps must be finite and non-negative")
-        self._set(rule, threshold, min_train_years, min_train_critical, eval_mode, widen_eps)
+        if lag < 0:
+            raise ValueError("lag must be non-negative")
+        self._set(rule, threshold, min_train_years, min_train_critical, eval_mode, widen_eps, lag)
 
 
 class Verdict(NamedTuple):
     """One per-year forecast: critical, non_critical, or no_forecast.
 
     ``no_forecast`` means the training prerequisites were unmet for that
-    origin. ``truth`` is absent for genuinely future years. The fields are
-    the keys of a verdict in a JSON report.
+    origin. ``truth`` is the year's critical label, which every verdict
+    carries. The fields are the keys of a verdict in a JSON report.
     """
 
     year: int
@@ -118,21 +125,28 @@ def evaluation_lanes(
     m: TemporalMatrix,
     names: Sequence[str],
     flags: Sequence[bool],
-    value: float,
+    value: float | None,
     cfg: BacktestConfig,
-    lag: int = 0,
+    lag: int | None = None,
 ) -> tuple[Lanes, Sequence[bool]]:
     """Kernel lanes of the years ``cfg.eval_mode`` evaluates in one window, and their truth.
 
     The window scores factor rows ``[n - lag - k, n - lag)`` of ``m`` against
-    its last ``k = len(flags)`` rows. Rolling trains on the window's rows with
-    incidence at or above ``value``, the other modes on ``flags``; the truth of
-    every mode is ``flags``. ``lanes.factors[j]`` stands for ``names[j]``; an
-    unscored row is a ``no_forecast``.
+    its last ``k = len(flags)`` rows, flags cut to their last ``n - lag``;
+    ``lag`` defaults to ``cfg.lag`` and must be below n. Rolling trains on the
+    window's rows with incidence at or above ``value`` (on ``flags`` if None),
+    the other modes on ``flags``; the truth of every mode is ``flags``.
+    ``lanes.factors[j]`` stands for ``names[j]``; an unscored row is a ``no_forecast``.
     """
-    n, k = m.n_years, len(flags)
+    n = m.n_years
+    lag = cfg.lag if lag is None else lag
+    if lag:
+        check_lag(lag, n)
+        flags = flags[lag - n :]
+    k = len(flags)
     columns = [m.factor_values(name)[n - lag - k : n - lag] for name in names]
-    critical = [v >= value for v in m.incidence[n - k :]] if cfg.eval_mode == "rolling" else flags
+    rolling = cfg.eval_mode == "rolling" and value is not None
+    critical = [v >= value for v in m.incidence[n - k :]] if rolling else flags
     lanes = membership_lanes(
         columns,
         critical,

@@ -27,12 +27,12 @@ from .errors import FactorcastError, InsufficientCriticalYears, InsufficientYear
 from .matrix import (
     CriticalThreshold,
     FactorSelection,
-    apply_uniform_lag,
+    check_lag,
     label_critical,
     parse_matrix,
     read_columns,
 )
-from .recognizer import QuorumRule, build_profile, evaluate_insample, membership_lanes
+from .recognizer import QuorumRule, build_profile, membership_lanes
 from .report import (
     REPORT_FORMATS,
     backtest_report,
@@ -136,8 +136,8 @@ def _add_common_flags(sub: argparse.ArgumentParser, min_critical_floor: int) -> 
         type=_positive_int(0),
         default=0,
         help=(
-            "shift selected factors this many years earlier before analysis;"
-            " a lag above 0 needs consecutive years (default 0)"
+            "pair each year's incidence with the selected factors this many years"
+            " earlier; a lag above 0 needs consecutive years (default 0)"
         ),
     )
     sub.add_argument(
@@ -280,28 +280,30 @@ def _check_consecutive(years: tuple[int, ...], lags) -> None:
 
 
 def _setup(args, fixed_threshold: float | None = None):
-    """Metadata, lagged ``--input`` matrix, selection, threshold (fixed if given) and labels."""
+    """Metadata, ``--input`` matrix, selection, threshold (fixed if given) and labels."""
     metadata, text = _read_input(args)
     m = parse_matrix(text)
     selection = FactorSelection(_names(args.factors, ",") if args.factors else m.factor_names)
     selection.validate_against(m)
     if args.lag:
         _check_consecutive(m.years, (args.lag,))
-        m = apply_uniform_lag(m, selection.names, args.lag)
+        check_lag(args.lag, m.n_years)
     if fixed_threshold is not None:
         threshold = CriticalThreshold(fixed_threshold, "selected")
     elif args.select_threshold:
-        threshold = select_threshold(m, args.min_critical)
+        lagged = m.window(args.lag, m.n_years) if args.lag else m  # a window copies columns
+        threshold = select_threshold(lagged, args.min_critical)
     else:
         threshold = CriticalThreshold(args.threshold, "expert")
     return metadata, m, selection, threshold, label_critical(m, threshold)
 
 
 def _backtest_config(args, m, threshold: CriticalThreshold) -> BacktestConfig:
-    """The replay configuration; a rolling replay of ``m`` needs a forecast origin."""
-    if args.mode == "rolling" and m.n_years <= args.min_train_years:
+    """The replay configuration; a rolling replay of ``m`` at ``--lag`` needs a forecast origin."""
+    n = m.n_years - args.lag
+    if args.mode == "rolling" and n <= args.min_train_years:
         # The first rolling forecast is of the row after min_train_years training rows.
-        raise InsufficientYears(m.n_years, args.min_train_years + 1)
+        raise InsufficientYears(n, args.min_train_years + 1)
     return BacktestConfig(
         rule=QuorumRule(args.quorum),
         threshold=threshold,
@@ -309,6 +311,7 @@ def _backtest_config(args, m, threshold: CriticalThreshold) -> BacktestConfig:
         min_train_critical=args.min_critical,
         eval_mode=args.mode,
         widen_eps=args.widen_eps,
+        lag=args.lag,
     )
 
 
@@ -316,11 +319,15 @@ def cmd_fit(args) -> Outputs:
     if args.select_threshold and args.min_critical < 2:
         args.usage_error("--select-threshold requires --min-critical of at least 2")
     metadata, m, selection, threshold, labels = _setup(args)
-    if labels.n_critical < args.min_critical:
-        raise InsufficientCriticalYears(labels.n_critical, args.min_critical)
     rule = QuorumRule(args.quorum)
-    profile = build_profile(m, labels, selection, args.widen_eps)
-    result = evaluate_insample(m, labels, profile, rule)
+    cfg = BacktestConfig(
+        rule, threshold, eval_mode="in_sample", widen_eps=args.widen_eps, lag=args.lag
+    )
+    result = rolling_backtest(m, labels, selection, cfg)
+    n_critical = sum(v.truth for v in result.verdicts)
+    if n_critical < args.min_critical:
+        raise InsufficientCriticalYears(n_critical, args.min_critical)
+    profile = build_profile(m, labels, selection, args.widen_eps, args.lag)
     metadata.update(
         threshold=threshold.value,
         threshold_source=threshold.source,
@@ -330,7 +337,7 @@ def cmd_fit(args) -> Outputs:
         widen_eps=args.widen_eps,
         min_critical=args.min_critical,
     )
-    doc = fit_report(metadata, m, labels, profile, rule, result)
+    doc = fit_report(metadata, m, profile, rule, result)
     outputs = [(emit_report(doc, args.format), args.output)]
     if args.save_profile:
         outputs.append((profile_to_json(profile, rule), args.save_profile))

@@ -1,4 +1,4 @@
-"""Annual data matrix: parsing, validation, labeling, and alignment.
+"""Annual data matrix: parsing, validation, and labeling.
 
 The data model is a rectangular table of annual observations: one row per
 year, one incidence column, and one or more named factor columns. Years are
@@ -35,8 +35,8 @@ from .errors import (
     UnknownFactor,
 )
 
-# Parsing requires at least this many year rows; derived matrices (lagged or
-# windowed views) may legitimately be shorter.
+# Parsing requires at least this many year rows; derived matrices (windowed
+# views) may legitimately be shorter.
 MIN_PARSE_YEARS = 3
 
 
@@ -401,29 +401,3 @@ def check_lag(lag: int, n_years: int) -> None:
     if lag >= n_years:
         raise LagTooLarge(lag, n_years)
 
-
-def apply_uniform_lag(m: TemporalMatrix, factors: Iterable[str], lag: int) -> TemporalMatrix:
-    """Pair incidence of year t with the named factors' values from year t - lag.
-
-    Lag counts rows (years, for a gap-free annual series). The first ``lag``
-    rows, which lack a lagged value, are dropped once; other factors are
-    taken at year t. ``lag = 0`` is the identity.
-    """
-    names = tuple(factors)
-    for name in names:
-        if name not in m.columns:
-            raise UnknownFactor(name)
-    check_lag(lag, m.n_years)
-    if lag == 0:
-        return m
-    lagged = set(names)
-    n = m.n_years
-    return TemporalMatrix(
-        years=m.years[lag:],
-        incidence=m.incidence[lag:],
-        factor_names=m.factor_names,
-        columns={
-            name: (col[: n - lag] if name in lagged else col[lag:])
-            for name, col in m.columns.items()
-        },
-    )

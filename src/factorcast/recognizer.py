@@ -26,7 +26,7 @@ from itertools import compress
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import InvalidQuorum, LabelMismatch, MissingFactorValue, NoCriticalYears
-from .matrix import CriticalLabels, FactorSelection, Frozen, TemporalMatrix
+from .matrix import CriticalLabels, FactorSelection, Frozen, TemporalMatrix, check_lag
 
 
 class FactorInterval(Frozen):
@@ -121,11 +121,13 @@ def build_profile(
     labels: CriticalLabels,
     selection: FactorSelection,
     widen_eps: float = 0.0,
+    lag: int = 0,
 ) -> IntervalProfile:
-    """Envelope each selected factor over the critical years of the labeling."""
+    """Envelope each selected factor over the critical years, at the factor rows ``lag`` earlier."""
     check_labels(m, labels)
     selection.validate_against(m)
-    critical_idx = [i for i, c in enumerate(labels.is_critical) if c]
+    check_lag(lag, m.n_years)
+    critical_idx = [i for i, c in enumerate(labels.is_critical[lag:]) if c]
     if not critical_idx:
         raise NoCriticalYears()
     intervals = []

@@ -23,8 +23,8 @@ from typing import Mapping, NamedTuple, Sequence
 
 from .backtest import BacktestResult, Verdict
 from .errors import ProfileError
-from .matrix import CriticalLabels, TemporalMatrix, format_number
-from .recognizer import FactorInterval, IntervalProfile, QuorumRule, RecognitionResult
+from .matrix import TemporalMatrix, format_number
+from .recognizer import FactorInterval, IntervalProfile, QuorumRule
 from .sweeps import SweepReport, SweepRow
 
 PROFILE_FORMAT = "factorcast-profile"
@@ -81,24 +81,21 @@ def _profile_body(profile: IntervalProfile) -> dict:
 def fit_report(
     metadata: Mapping,
     m: TemporalMatrix,
-    labels: CriticalLabels,
     profile: IntervalProfile,
     rule: QuorumRule,
-    result: RecognitionResult,
+    result: BacktestResult,
 ) -> ReportDocument:
+    """``result`` is the in-sample replay of ``profile``, over the last years of ``m``."""
     required = rule.required(profile.n_factors)
     body = _profile_body(profile)
+    verdicts = result.verdicts
+    incidence = m.incidence[m.n_years - len(verdicts) :]
     per_year = ReportTable(
         f"per-year recognition (quorum requires {required} of {profile.n_factors})",
         ("year", "incidence", "critical", "membership", "flagged"),
         tuple(
-            zip(
-                m.years,
-                m.incidence,
-                labels.is_critical,
-                map(result.per_year_membership.__getitem__, m.years),
-                map(set(result.flagged_years).__contains__, m.years),
-            )
+            (v.year, x, v.truth, v.membership, v.prediction == "critical")
+            for v, x in zip(verdicts, incidence)
         ),
     )
     return ReportDocument(
@@ -110,7 +107,7 @@ def fit_report(
             "quorum": rule.q,
             "required": required,
             "per_year": per_year,
-            "flagged_years": result.flagged_years,
+            "flagged_years": tuple(v.year for v in verdicts if v.prediction == "critical"),
         },
         summary=ReportTable(
             "recognition summary", ("x", "y", "p"), ((result.x, result.y, result.p),)

@@ -8,8 +8,8 @@ always matches the grid. Every axis takes an evaluation's training rows and
 truth from :func:`backtest.evaluation_lanes`. On the threshold, lag and
 row-length axes a grid point is a row window plus its flags (a relabel on the
 threshold axis, the labels' flags on the other two); points with the same pair
-share one kernel pass, and one skip policy (window longer than the series, too
-few critical years in the flags, no rolling forecast origin) covers all three.
+share one kernel pass, and one skip policy (window longer than the lagged series,
+too few critical years in the flags, no rolling forecast origin) covers all three.
 """
 
 from __future__ import annotations
@@ -102,13 +102,13 @@ def _sliced_sweep(axis: str, m: TemporalMatrix, spec: SweepSpec, points: list) -
 
     A point is that function's window: factor rows ``[n - lag - k, n - lag)``
     against the last ``k = len(flags)`` years; ``flags`` of None is a window
-    longer than the series. A point is skipped when its window exceeds the
-    series, when its flags hold too few critical years, or when a rolling
-    replay has no forecast origin, in that order. Points with the same lag and
-    flags share one kernel pass: ``value`` varies only on the threshold axis,
-    whose flags are the rolling training rows themselves.
+    longer than the ``n - cfg.lag`` years the base lag leaves. A point is
+    skipped when its window exceeds them, when its flags hold too few critical
+    years, or when a rolling replay has no forecast origin, in that order.
+    Points with the same lag and flags share one kernel pass: ``value`` is
+    None on the threshold axis, whose flags are the rolling training rows.
     """
-    cfg, n, names = spec.config, m.n_years, spec.selection.names
+    cfg, n, names = spec.config, m.n_years - spec.config.lag, spec.selection.names
     required = cfg.rule.required(len(names))
     scores: dict[tuple, tuple[int, int, int]] = {}  # (lag, flags) -> x, y, no_forecast
     rows = []
@@ -202,21 +202,22 @@ def quorum_sweep(
 
 
 def threshold_sensitivity(m: TemporalMatrix, spec: SweepSpec) -> SweepReport:
-    """One row per critical threshold; relabels the whole series at each grid point.
+    """One row per critical threshold; relabels the lagged series at each grid point.
 
     Too few critical years, or no rolling forecast origin, makes a skipped
     row; thresholds that the same incidence values reach share one kernel pass.
     """
     values = [CriticalThreshold(float(value), "selected").value for value in spec.grid]
-    points = [(format_number(v), v, 0, [x >= v for x in m.incidence]) for v in values]
+    lag, incidence = spec.config.lag, m.incidence[spec.config.lag :]
+    points = [(format_number(v), None, lag, [x >= v for x in incidence]) for v in values]
     return _sliced_sweep("threshold", m, spec, points)
 
 
 def lag_sweep(m: TemporalMatrix, labels: CriticalLabels, spec: SweepSpec) -> SweepReport:
     """One row per lag L: each selected column's first n - L rows against the last n - L years.
 
-    Their ``labels`` flags are truth; too few critical years among them, or no
-    rolling forecast origin, makes a skipped row; a repeated lag shares its kernel pass.
+    Each point's lag replaces the config's; ``labels`` flags are truth. Too few critical years
+    among them, or no rolling forecast origin, makes a skipped row; a repeated lag shares its pass.
     """
     value, n, flags = threshold_value(m, labels, spec.config), m.n_years, labels.is_critical
     lags = [int(lag) for lag in spec.grid]
@@ -228,18 +229,18 @@ def lag_sweep(m: TemporalMatrix, labels: CriticalLabels, spec: SweepSpec) -> Swe
 def row_length_sweep(
     m: TemporalMatrix, labels: CriticalLabels, spec: SweepSpec
 ) -> SweepReport:
-    """One row per trailing-window length k: the last k rows of the columns and incidence.
+    """One row per trailing-window length k: the last k years, each with its lagged factor row.
 
     Their ``labels`` flags are truth. Grid values below ``min_train_years`` raise.
-    A window longer than the series, with too few critical years or with no
-    rolling forecast origin makes a skipped row; a repeated window shares its pass.
+    A window longer than the lagged series, with too few critical years or with
+    no rolling forecast origin makes a skipped row; a repeated window shares its pass.
     """
-    value, n = threshold_value(m, labels, spec.config), m.n_years
-    lengths = [int(k) for k in spec.grid]
+    cfg, n, flags = spec.config, m.n_years - spec.config.lag, labels.is_critical
+    value, lengths = threshold_value(m, labels, cfg), [int(k) for k in spec.grid]
     for k in lengths:
-        if k < spec.config.min_train_years:
-            raise WindowTooShort(k, spec.config.min_train_years)
-    points = [(str(k), value, 0, labels.is_critical[n - k :] if k <= n else None) for k in lengths]
+        if k < cfg.min_train_years:
+            raise WindowTooShort(k, cfg.min_train_years)
+    points = [(str(k), value, cfg.lag, flags[-k:] if k <= n else None) for k in lengths]
     return _sliced_sweep("row_length", m, spec, points)
 
 

@@ -61,6 +61,21 @@ def random_instance(
     return m, labels, FactorSelection(m.factor_names), rule
 
 
+def lagged_matrix(m: TemporalMatrix, names, lag: int) -> TemporalMatrix:
+    """``m`` lagged by hand.
+
+    Years and incidence run from row ``lag`` on, the named factors from row 0
+    on, and every other factor stays at its own year.
+    """
+    n = m.n_years
+    return TemporalMatrix(
+        m.years[lag:],
+        m.incidence[lag:],
+        m.factor_names,
+        {name: col[: n - lag] if name in names else col[lag:] for name, col in m.columns.items()},
+    )
+
+
 def reference_recognize(m, labels, selection, rule, widen_eps=0.0):
     """``_reference_rule.recognize`` of one instance, read into plain lists."""
     return _reference_rule.recognize(

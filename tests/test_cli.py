@@ -25,7 +25,14 @@ from hypothesis import strategies as st
 from factorcast.cli import build_parser, main
 from factorcast.matrix import TemporalMatrix
 
-from _support import FIXTURES, GOLDEN, GOLDEN_CASES, run_cli_to_file, setup_cli_workdir
+from _support import (
+    FIXTURES,
+    GOLDEN,
+    GOLDEN_CASES,
+    lagged_matrix,
+    run_cli_to_file,
+    setup_cli_workdir,
+)
 
 REGEN = os.environ.get("REGEN_GOLDEN") == "1"
 
@@ -716,10 +723,17 @@ class TestFuzz:
             ["sweep", "--input", "{data}", "--axis", "threshold", "--grid", "3,8,9.5"],
             ["sweep", "--input", "{data}", "--threshold", "8", "--axis", "lag", "--grid", "0,1",
              "--mode", "rolling", "--min-train-years", "3"],
+            ["sweep", "--input", "{data}", "--threshold", "8", "--axis", "factor_subset",
+             "--grid", "all", "--lag", "1"],
+            ["sweep", "--input", "{data}", "--threshold", "8", "--axis", "row_length",
+             "--grid", "3,5", "--mode", "leave_one_out", "--min-train-years", "3", "--lag", "1"],
+            ["backtest", "--input", "{data}", "--threshold", "8", "--mode", "in_sample",
+             "--lag", "1"],
         ],
         ids=[
             "fit", "fit-select", "backtest", "classify", "fit-lag", "backtest-lag",
-            "sweep-quorum", "sweep-threshold", "sweep-lag",
+            "sweep-quorum", "sweep-threshold", "sweep-lag", "sweep-subset-lag",
+            "sweep-row-length-lag", "backtest-in-sample-lag",
         ],
     )
     @settings(max_examples=60, deadline=None)
@@ -889,16 +903,7 @@ class TestLagFlag:
     @given(case=lag_cases())
     def test_lag_equals_the_file_lagged_by_hand(self, case):
         m, lag, selected, flags, commands = case
-        n = m.n_years
-        lagged = TemporalMatrix(
-            m.years[lag:],
-            m.incidence[lag:],
-            m.factor_names,
-            {
-                name: col[: n - lag] if name in selected else col[lag:]
-                for name, col in m.columns.items()
-            },
-        )
+        lagged = lagged_matrix(m, selected, lag)
         with tempfile.TemporaryDirectory() as tmp:
             original, shifted = Path(tmp, "original.csv"), Path(tmp, "lagged.csv")
             original.write_text(m.to_csv(), encoding="utf-8")

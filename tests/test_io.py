@@ -20,6 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import factorcast.matrix as fc_matrix
 from factorcast import parse_matrix
 from factorcast.errors import (
     DuplicateYear,
@@ -250,6 +251,28 @@ def test_guarded_document_goes_to_csv_reader(monkeypatch, text):
                 read()
     for read, reference in readers(text):
         assert same_outcome(outcome(read), outcome(reference))
+
+
+@pytest.mark.parametrize("cell", ["\x1c2\x1f", "\x1d1.5\x1e"])
+def test_row_reader_returns_cells_that_strip_cleans(monkeypatch, cell):
+    """Cells that ``float`` and ``int`` reject but ``str.strip`` cleans still read.
+
+    The column pass fails on them, so ``_read_rows`` reads the document again
+    and returns its columns, as the reference does.
+    """
+    text = f"year,incidence,f,g\n1992,3,1,-2\n1990,12,{cell},7\n \x1c1991\x1f,0,1,4\n"
+    returned, row_reader = [], fc_matrix._read_rows
+
+    def spy(*args):
+        returned.append(row_reader(*args))
+        return returned[-1]
+
+    with monkeypatch.context() as patched:
+        patched.setattr(fc_matrix, "_read_rows", spy)
+        results = [outcome(read) for read, _ in readers(text)]
+    assert [got[0] for got in results] == ["ok", "ok"] and len(returned) == 2
+    for got, (_, reference) in zip(results, readers(text)):
+        assert same_outcome(got, outcome(reference))
 
 
 # csv.reader rejects a NUL before Python 3.11 and reads it as text from 3.11 on;

@@ -49,7 +49,7 @@ from factorcast.sweeps import (
 from factorcast.synth import PlantSpec, generate
 
 import _reference_rule as ref
-from _support import QUORUM_CHOICES, VALUE_GRID, lanes_to_masks
+from _support import QUORUM_CHOICES, VALUE_GRID, lagged_matrix, lanes_to_masks
 
 EPS_CHOICES = (0.0, 0.0, 0.1, 0.25, 0.5, 1.0)
 
@@ -336,15 +336,7 @@ def test_data_changing_sweeps_match_reference(data):
     report = lag_sweep(m, labels, SweepSpec("lag", selection, cfg, lags))
     expected = []
     for lag in lags:
-        lagged = m if lag == 0 else TemporalMatrix(
-            m.years[lag:],
-            m.incidence[lag:],
-            m.factor_names,
-            {
-                name: col[: m.n_years - lag] if name in selection.names else col[lag:]
-                for name, col in m.columns.items()
-            },
-        )
+        lagged = lagged_matrix(m, selection.names, lag)
         lagged_labels = CriticalLabels(lagged.years, labels.is_critical[lag:], labels.threshold)
         expected.append(expected_row(lagged, lagged_labels, selection, cfg))
     assert [row.configuration for row in report.rows] == list(map(str, lags))

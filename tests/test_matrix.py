@@ -1,4 +1,4 @@
-"""Matrix parsing, validation, labeling, and alignment transforms."""
+"""Matrix parsing, validation and labeling, and the evaluation lag."""
 
 import random
 
@@ -6,21 +6,33 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from factorcast import CriticalThreshold, FactorSelection, label_critical, parse_matrix
+from factorcast import (
+    BacktestConfig,
+    CriticalThreshold,
+    FactorSelection,
+    QuorumRule,
+    build_profile,
+    label_critical,
+    parse_matrix,
+    rolling_backtest,
+)
+from factorcast.backtest import EVAL_MODES
 from factorcast.errors import (
     DuplicateYear,
     EmptySelection,
     LagTooLarge,
     MatrixError,
     MissingCell,
+    NoCriticalYears,
     NoFactors,
     NonNumericCell,
     TooFewRows,
     UnknownFactor,
 )
-from factorcast.matrix import TemporalMatrix, apply_uniform_lag
+from factorcast.matrix import TemporalMatrix
+from factorcast.sweeps import SweepSpec, quorum_sweep
 
-from _support import random_matrix
+from _support import lagged_matrix, random_instance, random_matrix
 
 THREE_YEARS = "year,incidence,jan_temp\n1990,12,-15.5\n1991,3,-12.0\n1992,9,-14.1\n"
 
@@ -142,61 +154,62 @@ class TestLabeling:
 
 
 class TestLag:
-    def test_lag_zero_identity(self):
-        m = parse_matrix(THREE_YEARS)
-        assert apply_uniform_lag(m, ("jan_temp",), 0) is m
+    """A lag of L in the evaluation equals lag 0 on the matrix lagged by hand."""
 
     def test_lag_one_alignment(self):
-        m = make_matrix(
-            (1.0, 2.0, 3.0, 4.0, 5.0), f=(10.0, 20.0, 30.0, 40.0, 50.0)
-        )
-        lagged = apply_uniform_lag(m, ("f",), 1)
-        assert lagged.n_years == 4
-        assert lagged.years == (2001, 2002, 2003, 2004)
-        # 2001's factor value comes from 2000
-        assert lagged.factor_values("f") == (10.0, 20.0, 30.0, 40.0)
-        assert lagged.incidence == (2.0, 3.0, 4.0, 5.0)
+        m = make_matrix((1.0, 2.0, 3.0, 4.0, 5.0), f=(10.0, 20.0, 30.0, 40.0, 50.0))
+        labels = label_critical(m, CriticalThreshold(4.0))
+        selection = FactorSelection(("f",))
+        # 2003 and 2004 are critical; a lag of 1 envelopes the factor of 2002 and 2003.
+        profile = build_profile(m, labels, selection, lag=1)
+        assert (profile.intervals[0].lo, profile.intervals[0].hi) == (30.0, 40.0)
+        cfg = BacktestConfig(QuorumRule(1.0), labels.threshold, eval_mode="in_sample", lag=1)
+        result = rolling_backtest(m, labels, selection, cfg)
+        assert [(v.year, v.membership, v.truth) for v in result.verdicts] == [
+            (2001, 0, False),
+            (2002, 0, False),
+            (2003, 1, True),
+            (2004, 1, True),
+        ]
 
-    def test_other_factors_unshifted(self):
-        m = make_matrix(
-            (1.0, 2.0, 3.0, 4.0),
-            a=(10.0, 20.0, 30.0, 40.0),
-            b=(1.5, 2.5, 3.5, 4.5),
-        )
-        lagged = apply_uniform_lag(m, ("a",), 1)
-        assert lagged.factor_values("a") == (10.0, 20.0, 30.0)
-        assert lagged.factor_values("b") == (2.5, 3.5, 4.5)
-
-    def test_lag_too_large(self):
-        m = make_matrix((1.0, 2.0, 3.0, 4.0, 5.0), f=(1.0, 2.0, 3.0, 4.0, 5.0))
-        with pytest.raises(LagTooLarge):
-            apply_uniform_lag(m, ("f",), 5)
-
-    def test_unknown_factor(self):
-        m = parse_matrix(THREE_YEARS)
-        with pytest.raises(UnknownFactor):
-            apply_uniform_lag(m, ("nope",), 1)
-
-    @settings(max_examples=60)
-    @given(st.integers(0, 2**32), st.integers(0, 2), st.integers(0, 2))
-    def test_lag_composition(self, seed, l1, l2):
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**32), st.data())
+    def test_lag_equals_the_lagged_matrix(self, seed, data):
         rng = random.Random(seed)
-        m = random_matrix(rng, n_min=8, n_max=12)
-        name = m.factor_names[0]
-        twice = apply_uniform_lag(apply_uniform_lag(m, (name,), l1), (name,), l2)
-        once = apply_uniform_lag(m, (name,), l1 + l2)
-        assert twice == once
+        m, labels, _, rule = random_instance(rng, n_min=4, n_max=14)
+        names = data.draw(st.permutations(m.factor_names))[: data.draw(st.integers(1, m.n_factors))]
+        selection = FactorSelection(names)
+        lag = data.draw(st.integers(0, m.n_years - 1))
+        lagged = lagged_matrix(m, names, lag)
+        lagged_labels = label_critical(lagged, labels.threshold)
+        eps = data.draw(st.sampled_from((0.0, 0.5)))
+        for mode in EVAL_MODES:
+            cfg = BacktestConfig(rule, labels.threshold, 3, 2, mode, eps, lag)
+            plain = BacktestConfig(rule, labels.threshold, 3, 2, mode, eps)
+            got = rolling_backtest(m, labels, selection, cfg)
+            assert got == rolling_backtest(lagged, lagged_labels, selection, plain)
+            grid = (0.25, 0.5, 1.0)
+            got = quorum_sweep(m, labels, SweepSpec("quorum", selection, cfg, grid))
+            want = quorum_sweep(lagged, lagged_labels, SweepSpec("quorum", selection, plain, grid))
+            assert got == want
+        if lagged_labels.n_critical:
+            want = build_profile(lagged, lagged_labels, selection, eps)
+            assert build_profile(m, labels, selection, eps, lag) == want
+        else:
+            with pytest.raises(NoCriticalYears):
+                build_profile(m, labels, selection, eps, lag)
 
-    def test_uniform_lag_drops_rows_once(self):
-        m = make_matrix(
-            (1.0, 2.0, 3.0, 4.0),
-            a=(10.0, 20.0, 30.0, 40.0),
-            b=(1.5, 2.5, 3.5, 4.5),
-        )
-        lagged = apply_uniform_lag(m, ("a", "b"), 1)
-        assert lagged.n_years == 3
-        assert lagged.factor_values("a") == (10.0, 20.0, 30.0)
-        assert lagged.factor_values("b") == (1.5, 2.5, 3.5)
+    @pytest.mark.parametrize("mode", EVAL_MODES)
+    def test_lag_of_the_series_length_raises(self, mode):
+        m = make_matrix((1.0, 2.0, 3.0, 4.0, 5.0), f=(1.0, 2.0, 3.0, 4.0, 5.0))
+        labels = label_critical(m, CriticalThreshold(3.0))
+        selection = FactorSelection(("f",))
+        for lag in (5, 6):
+            cfg = BacktestConfig(QuorumRule(1.0), labels.threshold, 3, 2, mode, lag=lag)
+            with pytest.raises(LagTooLarge):
+                rolling_backtest(m, labels, selection, cfg)
+            with pytest.raises(LagTooLarge):
+                build_profile(m, labels, selection, lag=lag)
 
 
 class TestSelection:

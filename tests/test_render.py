@@ -13,7 +13,7 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from factorcast import BacktestConfig, build_profile, evaluate_insample, rolling_backtest
+from factorcast import BacktestConfig, build_profile, rolling_backtest
 from factorcast.recognizer import membership_lanes
 from factorcast.report import (
     ReportDocument,
@@ -126,10 +126,12 @@ def report_documents(draw):
         draw(strings): draw(scalars),
     }
     kind = draw(st.sampled_from(("fit", "classify", "backtest", "sweep")))
-    profile = build_profile(m, labels, selection, widen_eps=draw(st.sampled_from((0.0, 0.25))))
+    eps = draw(st.sampled_from((0.0, 0.25)))
+    profile = build_profile(m, labels, selection, widen_eps=eps)
     if kind == "fit":
-        result = evaluate_insample(m, labels, profile, rule)
-        return fit_report(metadata, m, labels, profile, rule, result)
+        replay = BacktestConfig(rule, labels.threshold, eval_mode="in_sample", widen_eps=eps)
+        result = rolling_backtest(m, labels, selection, replay)
+        return fit_report(metadata, m, profile, rule, result)
     if kind == "classify":
         lanes = membership_lanes([m.columns[name] for name in m.factor_names], profile=profile)
         scored = tuple(zip(m.years, lanes.counts(sum(lanes.factors))))

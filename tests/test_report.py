@@ -10,7 +10,6 @@ from factorcast import (
     FactorSelection,
     QuorumRule,
     build_profile,
-    evaluate_insample,
     label_critical,
     rolling_backtest,
 )
@@ -46,9 +45,10 @@ META = {"tool": "factorcast", "version": "test"}
 
 def fit_doc(rule=QuorumRule(1.0)):
     m, labels = fixture()
-    profile = build_profile(m, labels, FactorSelection(("f",)))
-    result = evaluate_insample(m, labels, profile, rule)
-    return fit_report(META, m, labels, profile, rule, result)
+    selection = FactorSelection(("f",))
+    profile = build_profile(m, labels, selection)
+    replay = BacktestConfig(rule, labels.threshold, eval_mode="in_sample")
+    return fit_report(META, m, profile, rule, rolling_backtest(m, labels, selection, replay))
 
 
 class TestEmission:

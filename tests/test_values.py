@@ -46,7 +46,7 @@ THRESHOLD_REPR = "CriticalThreshold(value=8.0, source='expert')"
 INTERVAL_REPR = "FactorInterval(factor='a', lo=1.0, hi=2.0, widen_eps=0.0)"
 CONFIG_REPR = (
     f"BacktestConfig(rule=QuorumRule(q=0.75), threshold={THRESHOLD_REPR}, min_train_years=5,"
-    " min_train_critical=2, eval_mode='rolling', widen_eps=0.0)"
+    " min_train_critical=2, eval_mode='rolling', widen_eps=0.0, lag=0)"
 )
 TABLE_REPR = "ReportTable(title='t', columns=('year',), rows=((1990,),))"
 
@@ -311,6 +311,10 @@ INVALID = [
      "widen_eps must be finite and non-negative"),
     (lambda: BacktestConfig(QuorumRule(1.0), THRESHOLD, widen_eps=NAN), ValueError,
      "widen_eps must be finite and non-negative"),
+    (lambda: BacktestConfig(QuorumRule(1.0), THRESHOLD, lag=-1), ValueError,
+     "lag must be non-negative"),
+    (lambda: BacktestConfig(QuorumRule(1.0), THRESHOLD, lag=1.5), ValueError,
+     "lag must be an int, got 1.5"),
     (lambda: PlantSpec(n_years=4), InvalidSpec, "n_years must be at least 5, got 4"),
     (lambda: PlantSpec(n_factors=0), InvalidSpec, "n_factors must be at least 1"),
     (lambda: PlantSpec(n_years=1000, n_factors=1000), InvalidSpec,
