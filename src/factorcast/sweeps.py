@@ -10,6 +10,7 @@ row-length axes a grid point is a row window plus its flags (a relabel on the
 threshold axis, the labels' flags on the other two); points with the same pair
 share one kernel pass, and one skip policy (window longer than the lagged series,
 too few critical years in the flags, no rolling forecast origin) covers all three.
+Quorum and factor_subset rows are ``backtest`` on the base window, never skipped.
 """
 
 from __future__ import annotations

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 from .errors import InvalidSpec
 from .matrix import Frozen, TemporalMatrix
@@ -40,14 +40,16 @@ class PlantSpec(Frozen):
     """Recipe for one synthetic dataset.
 
     Defaults mirror a realistic desk scale: a 30-year series with 8 factor
-    columns. ``noise_prob`` is the per-cell chance that a factor value lands
-    on the wrong side of its planted interval (critical years escape it,
-    non-critical years enter it). The last ``n_adversarial`` factors carry no
-    signal at all. ``lag_shift`` moves each informative factor's signal
-    ``lag_shift`` rows later than the year it describes, and years before
-    ``regime_change_year`` draw informative factors with no signal either.
-    A spec may ask for at most ``MAX_CELLS`` cells, counted as
-    ``n_years * (n_factors + 1)`` (the incidence column included).
+    columns. Each factor's planted interval is drawn from the seed: its low
+    edge uniform in [25, 45), its width uniform in [15, 30). ``noise_prob`` is
+    the per-cell chance that a factor value lands on the wrong side of its
+    planted interval (critical years escape it, non-critical years enter it).
+    The last ``n_adversarial`` factors carry no signal at all. ``lag_shift``
+    moves each informative factor's signal ``lag_shift`` rows later than the
+    year it describes, and years before ``regime_change_year`` draw
+    informative factors with no signal either. A spec may ask for at most
+    ``MAX_CELLS`` cells, counted as ``n_years * (n_factors + 1)`` (the
+    incidence column included).
     """
 
     __slots__ = (
@@ -59,7 +61,6 @@ class PlantSpec(Frozen):
         "lag_shift",
         "regime_change_year",
         "n_adversarial",
-        "intervals",
         "incidence_threshold",
         "start_year",
     )
@@ -74,19 +75,16 @@ class PlantSpec(Frozen):
         lag_shift: int = 0,
         regime_change_year: int | None = None,
         n_adversarial: int = 0,
-        intervals: Iterable[tuple[float, float]] | None = None,
         incidence_threshold: float = 10.0,
         start_year: int = 1990,
     ):
         try:
             critical_fraction, noise_prob = float(critical_fraction), float(noise_prob)
             incidence_threshold = float(incidence_threshold)
-            if intervals is not None:
-                intervals = tuple((float(lo), float(hi)) for lo, hi in intervals)
         except (TypeError, ValueError, OverflowError):
             raise InvalidSpec(
-                "critical_fraction, noise_prob, incidence_threshold and each planted"
-                " (lo, hi) must be numbers that fit a float"
+                "critical_fraction, noise_prob and incidence_threshold must be numbers"
+                " that fit a float"
             ) from None
         counts = {
             "n_years": n_years,
@@ -123,20 +121,9 @@ class PlantSpec(Frozen):
         if not math.isfinite(2.0 * incidence_threshold):
             # Critical incidence is drawn up to twice the threshold.
             raise InvalidSpec("incidence_threshold must be at most half the largest float")
-        if intervals is not None:
-            if len(intervals) != n_factors:
-                raise InvalidSpec("intervals must list one (lo, hi) pair per factor")
-            for lo, hi in intervals:
-                if not (lo <= hi):
-                    raise InvalidSpec(f"planted interval has lo > hi: ({lo}, {hi})")
-                if lo - EDGE_GAP < AMBIENT_LO or hi + EDGE_GAP > AMBIENT_HI:
-                    raise InvalidSpec(
-                        f"planted interval ({lo}, {hi}) leaves no room outside"
-                        f" the ambient range [{AMBIENT_LO}, {AMBIENT_HI}]"
-                    )
         self._set(
             n_years, n_factors, seed, critical_fraction, noise_prob, lag_shift, regime_change_year,
-            n_adversarial, intervals, incidence_threshold, start_year,
+            n_adversarial, incidence_threshold, start_year,
         )
 
     @property
@@ -174,13 +161,10 @@ def generate(spec: PlantSpec) -> tuple[TemporalMatrix, GroundTruth]:
     n_informative = spec.n_factors - spec.n_adversarial
 
     planted: list[tuple[float, float]] = []
-    for j in range(spec.n_factors):
-        if spec.intervals is not None:
-            planted.append(spec.intervals[j])
-        else:
-            lo = rng.uniform(25.0, 45.0)
-            hi = lo + rng.uniform(15.0, 30.0)
-            planted.append((lo, hi))
+    for _ in range(spec.n_factors):
+        lo = rng.uniform(25.0, 45.0)
+        hi = lo + rng.uniform(15.0, 30.0)
+        planted.append((lo, hi))
 
     n_critical = min(n, max(0, round(spec.critical_fraction * n)))
     critical_idx = set(rng.sample(range(n), n_critical))

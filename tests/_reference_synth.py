@@ -36,13 +36,10 @@ def generate(spec: PlantSpec) -> tuple[TemporalMatrix, GroundTruth]:
     n_informative = spec.n_factors - spec.n_adversarial
 
     planted: list[tuple[float, float]] = []
-    for j in range(spec.n_factors):
-        if spec.intervals is not None:
-            planted.append(spec.intervals[j])
-        else:
-            lo = rng.uniform(25.0, 45.0)
-            hi = lo + rng.uniform(15.0, 30.0)
-            planted.append((lo, hi))
+    for _ in range(spec.n_factors):
+        lo = rng.uniform(25.0, 45.0)
+        hi = lo + rng.uniform(15.0, 30.0)
+        planted.append((lo, hi))
 
     n_critical = min(n, max(0, round(spec.critical_fraction * n)))
     critical_idx = set(rng.sample(range(n), n_critical))

@@ -690,15 +690,54 @@ def mangled(draw, seed: bytes):
     return bytes(data)
 
 
+# Numbers that some synth flag refuses (not finite, out of range, not an int); others take them.
+BAD_NUMBERS = ("nan", "inf", "1e308", "-1", "1.5", str(2**70))
+
+
+@st.composite
+def synth_argv(draw):
+    """``synth`` argv whose accepted specs stay within 40 years x 16 factors.
+
+    ``{tmp}`` stands for a fresh directory; ``{tmp}/missing`` does not exist.
+    """
+    def pick(*pool):
+        # One value in four is drawn from BAD_NUMBERS, so most runs reach generate().
+        return draw(st.sampled_from(BAD_NUMBERS if draw(st.integers(0, 3)) == 0 else pool))
+
+    years = pick("5", "40", "1000001")
+    factors = pick("1", "16", "200000")
+    above_factors = str(int(factors) + 1) if factors.isdigit() else factors
+    flags = {
+        "--years": years,
+        "--factors": factors,
+        "--seed": pick("0", "7"),
+        "--critical-fraction": pick("0", "0.3", "1"),
+        "--noise": pick("0", "0.1", "1"),
+        "--threshold": pick("10", "0.3"),
+        "--lag-shift": pick("0", "3", years),
+        "--adversarial": pick("0", "1", factors, above_factors),
+        "--regime-change-year": pick("1990", "2000"),
+        "--start-year": pick("1", "1990"),
+        "--truth-output": draw(
+            st.sampled_from(("{tmp}/truth.csv", "{tmp}/missing/truth.csv", "{tmp}/data.csv"))
+        ),
+    }
+    argv = ["synth", "--output", "{tmp}/data.csv"]
+    for flag, value in flags.items():
+        if draw(st.booleans()):
+            argv += [flag, value]
+    return argv
+
+
 class TestFuzz:
-    """Arbitrary input and profile bytes end in exit 0, 1 or 2, never a traceback.
+    """Arbitrary input, profile bytes and synth flags end in exit 0, 1 or 2, never a traceback.
 
     A data error (exit 2) prints exactly one line, which starts with ``error: ``.
     """
 
     def run(self, argv, files):
         with tempfile.TemporaryDirectory() as tmp:
-            paths = {}
+            paths = {"tmp": tmp}
             for name, data in files.items():
                 paths[name] = Path(tmp, name)
                 paths[name].write_bytes(data)
@@ -747,6 +786,11 @@ class TestFuzz:
     def test_profile_bytes(self, profile):
         argv = ["classify", "--input", "{data}", "--profile", "{profile}"]
         self.run(argv, {"data": WORKED_EXAMPLE, "profile": profile})
+
+    @settings(max_examples=150, deadline=None)
+    @given(argv=synth_argv())
+    def test_synth_flags(self, argv):
+        self.run(argv, {})
 
 
 class TestInvariance:

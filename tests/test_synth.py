@@ -84,27 +84,12 @@ class TestGenerate:
             assert int(year) in truth.years
             assert flag in ("0", "1")
 
-    def test_custom_intervals(self):
-        spec = PlantSpec(
-            n_years=10, n_factors=2, intervals=((10.0, 20.0), (40.0, 60.0)), seed=1
-        )
-        _, truth = generate(spec)
-        assert (truth.intervals[0].lo, truth.intervals[0].hi) == (10.0, 20.0)
-        assert (truth.intervals[1].lo, truth.intervals[1].hi) == (40.0, 60.0)
-
 
 @st.composite
 def plant_specs(draw):
     """Specs across every generator branch, edge values of each knob included."""
     n_years = draw(st.integers(5, 40))
     n_factors = draw(st.integers(1, 6))
-    intervals = None
-    if draw(st.booleans()):
-        intervals = []
-        for _ in range(n_factors):
-            lo = draw(st.sampled_from((1.0, 10.0, 33.3, 50.0)))
-            hi = draw(st.sampled_from((lo, lo + 0.1, lo + 12.5, 99.0)))
-            intervals.append((lo, hi))
     regime = draw(st.one_of(st.none(), st.integers(1980, 2040)))
     return PlantSpec(
         n_years=n_years,
@@ -115,7 +100,6 @@ def plant_specs(draw):
         lag_shift=draw(st.integers(0, n_years - 1)),
         regime_change_year=regime,
         n_adversarial=draw(st.sampled_from((0, n_factors // 2, n_factors))),
-        intervals=None if intervals is None else tuple(intervals),
         incidence_threshold=draw(st.sampled_from((10.0, 0.3, 7.77))),
         start_year=draw(st.sampled_from((1990, 1, 2000))),
     )
@@ -145,7 +129,6 @@ class TestAgainstReference:
             {"lag_shift": 3},
             {"regime_change_year": 2000},
             {"regime_change_year": 2000, "lag_shift": 4},
-            {"intervals": ((10.0, 20.0), (1.0, 99.0), (50.0, 50.0))},
             {"noise_prob": 0.0},
             {"noise_prob": 1.0},
             {"n_adversarial": 0},
@@ -183,14 +166,6 @@ class TestSpecValidation:
             PlantSpec(n_years=10**20)
         with pytest.raises(InvalidSpec, match="cells"):
             PlantSpec(n_factors=10**20)
-
-    def test_bad_intervals(self):
-        with pytest.raises(InvalidSpec):
-            PlantSpec(n_factors=2, intervals=((10.0, 20.0),))
-        with pytest.raises(InvalidSpec):
-            PlantSpec(n_factors=1, intervals=((20.0, 10.0),))
-        with pytest.raises(InvalidSpec):
-            PlantSpec(n_factors=1, intervals=((0.0, 50.0),))
 
 
 class TestOracle:

@@ -110,7 +110,7 @@ CASES = {
     PlantSpec: (
         {"n_years": 12, "n_factors": 3},
         "PlantSpec(n_years=12, n_factors=3, seed=0, critical_fraction=0.3, noise_prob=0.0,"
-        " lag_shift=0, regime_change_year=None, n_adversarial=0, intervals=None,"
+        " lag_shift=0, regime_change_year=None, n_adversarial=0,"
         " incidence_threshold=10.0, start_year=1990)",
         True,
         ("seed", 1),
@@ -253,8 +253,7 @@ def matrix(**fields):
 
 
 NOT_A_FLOAT = (
-    "critical_fraction, noise_prob, incidence_threshold and each planted (lo, hi)"
-    " must be numbers that fit a float"
+    "critical_fraction, noise_prob and incidence_threshold must be numbers that fit a float"
 )
 
 # (constructor, exception class, message); each line is one check, in the
@@ -330,17 +329,10 @@ INVALID = [
     (lambda: PlantSpec(incidence_threshold=1e308), InvalidSpec,
      "incidence_threshold must be at most half the largest float"),
     (lambda: PlantSpec(incidence_threshold=10**400), InvalidSpec, NOT_A_FLOAT),
-    (lambda: PlantSpec(n_factors=1, intervals=[(10**400, 10**401)]), InvalidSpec, NOT_A_FLOAT),
     (lambda: PlantSpec(noise_prob=None), InvalidSpec, NOT_A_FLOAT),
     (lambda: PlantSpec(n_years=10.5), InvalidSpec, "n_years must be an int, got 10.5"),
     (lambda: PlantSpec(n_factors=2.0), InvalidSpec, "n_factors must be an int, got 2.0"),
     (lambda: PlantSpec(lag_shift=1.5), InvalidSpec, "lag_shift must be an int, got 1.5"),
-    (lambda: PlantSpec(intervals=((10, 20),)), InvalidSpec,
-     "intervals must list one (lo, hi) pair per factor"),
-    (lambda: PlantSpec(n_factors=1, intervals=((5, 3),)), InvalidSpec,
-     "planted interval has lo > hi: (5.0, 3.0)"),
-    (lambda: PlantSpec(n_factors=1, intervals=((0.5, 3),)), InvalidSpec,
-     "planted interval (0.5, 3.0) leaves no room outside the ambient range [0.0, 100.0]"),
     (lambda: SweepSpec("speed", FactorSelection(("a",)), CONFIG), ValueError,
      "axis must be one of ('factor_subset', 'quorum', 'threshold', 'lag', 'row_length')"),
     (lambda: SweepSpec("quorum", FactorSelection(("a",)), CONFIG, []), ValueError,
@@ -356,12 +348,6 @@ def test_invalid_fields_raise_one_class_and_message(make, exc, message):
         make()
     assert type(info.value) is exc
     assert str(info.value) == message
-
-
-def test_planted_intervals_are_coerced_to_float_pairs():
-    spec = PlantSpec(n_factors=1, intervals=[[10, 20]])
-    assert spec.intervals == ((10.0, 20.0),)
-    assert type(spec.intervals[0][0]) is float
 
 
 def test_cold_import_loads_neither_dataclasses_nor_inspect(tmp_path):
