@@ -15,7 +15,7 @@ from factorcast import (
     label_critical,
 )
 from factorcast.errors import InvalidSpec
-from factorcast.synth import AMBIENT_HI, AMBIENT_LO, MAX_CELLS, PlantSpec, generate
+from factorcast.synth import AMBIENT_HI, AMBIENT_LO, EDGE_GAP, MAX_CELLS, PlantSpec, generate
 
 import _reference_synth as ref
 from _support import random_instance, reference_recognize
@@ -84,6 +84,16 @@ class TestGenerate:
             assert int(year) in truth.years
             assert flag in ("0", "1")
 
+    @pytest.mark.parametrize("seed", (0, 1, 2**70))
+    def test_planted_intervals_drawn_from_documented_ranges(self, seed):
+        """Low edge in [25, 45), width in [15, 30): EDGE_GAP room on both sides."""
+        _, truth = generate(PlantSpec(n_years=5, n_factors=50, seed=seed))
+        for interval in truth.intervals:
+            assert 25.0 <= interval.lo < 45.0
+            assert 15.0 <= interval.hi - interval.lo < 30.0
+            assert AMBIENT_LO + EDGE_GAP < interval.lo
+            assert interval.hi < AMBIENT_HI - EDGE_GAP
+
 
 @st.composite
 def plant_specs(draw):
@@ -135,6 +145,8 @@ class TestAgainstReference:
             {"n_adversarial": 3},
             {"critical_fraction": 0.0},
             {"critical_fraction": 1.0},
+            {"incidence_threshold": 0.3},
+            {"start_year": 1},
         ],
     )
     def test_each_knob(self, changes):

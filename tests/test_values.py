@@ -330,9 +330,16 @@ INVALID = [
      "incidence_threshold must be at most half the largest float"),
     (lambda: PlantSpec(incidence_threshold=10**400), InvalidSpec, NOT_A_FLOAT),
     (lambda: PlantSpec(noise_prob=None), InvalidSpec, NOT_A_FLOAT),
+    (lambda: PlantSpec(critical_fraction="0.3x"), InvalidSpec, NOT_A_FLOAT),
     (lambda: PlantSpec(n_years=10.5), InvalidSpec, "n_years must be an int, got 10.5"),
     (lambda: PlantSpec(n_factors=2.0), InvalidSpec, "n_factors must be an int, got 2.0"),
     (lambda: PlantSpec(lag_shift=1.5), InvalidSpec, "lag_shift must be an int, got 1.5"),
+    (lambda: PlantSpec(n_adversarial=1.5), InvalidSpec,
+     "n_adversarial must be an int, got 1.5"),
+    (lambda: PlantSpec(start_year=1990.0), InvalidSpec,
+     "start_year must be an int, got 1990.0"),
+    (lambda: PlantSpec(regime_change_year=2000.5), InvalidSpec,
+     "regime_change_year must be an int, got 2000.5"),
     (lambda: SweepSpec("speed", FactorSelection(("a",)), CONFIG), ValueError,
      "axis must be one of ('factor_subset', 'quorum', 'threshold', 'lag', 'row_length')"),
     (lambda: SweepSpec("quorum", FactorSelection(("a",)), CONFIG, []), ValueError,
@@ -349,6 +356,13 @@ def test_invalid_fields_raise_one_class_and_message(make, exc, message):
     assert type(info.value) is exc
     assert str(info.value) == message
 
+
+
+def test_plant_spec_float_fields_are_coerced_to_float():
+    spec = PlantSpec(critical_fraction=1, noise_prob=0, incidence_threshold=10)
+    assert (spec.critical_fraction, spec.noise_prob, spec.incidence_threshold) == (1.0, 0.0, 10.0)
+    for name in ("critical_fraction", "noise_prob", "incidence_threshold"):
+        assert type(getattr(spec, name)) is float
 
 def test_cold_import_loads_neither_dataclasses_nor_inspect(tmp_path):
     """Each of them costs a fresh ``factorcast`` process start-up time or memory.
