@@ -18,7 +18,6 @@ import csv
 import io
 import json
 from functools import lru_cache
-from itertools import chain, starmap
 from typing import Mapping, NamedTuple, Sequence
 
 from .backtest import BacktestResult, Verdict
@@ -41,7 +40,12 @@ def _cell(v) -> str:
 
 
 class ReportTable(NamedTuple):
-    """Rows of raw values; ``columns`` are the JSON keys of a row."""
+    """Rows of raw values; ``columns`` are the JSON keys of a row.
+
+    The renderers work a column at a time and rely on two things: the column
+    keys are one or more distinct strings, and every cell is a scalar (str,
+    int, float, bool or None).
+    """
 
     title: str
     columns: tuple[str, ...]
@@ -175,28 +179,31 @@ def _all_tables(doc: ReportDocument) -> tuple[ReportTable, ...]:
     return doc.tables if doc.summary is None else (*doc.tables, doc.summary)
 
 
-def _text_column(values: tuple) -> list[str]:
-    """One column's text cells, with one formatter for a column of one type."""
+def _text_column(header: str, values: tuple) -> list[str]:
+    """One column's header and text cells, with one formatter for a column of one type."""
     kinds = set(map(type, values))
-    return list(map(_FORMATS.get(kinds.pop(), str) if len(kinds) == 1 else _cell, values))
+    return [header, *map(_FORMATS.get(kinds.pop(), str) if len(kinds) == 1 else _cell, values)]
 
 
-def _text_rows(table: ReportTable) -> list[tuple[str, ...]]:
-    """The text cells of each row.
+def _text_columns(table: ReportTable) -> list[list[str]]:
+    """The text cells of each column, its header first.
 
     ``None`` renders ``-``: nothing applies. Only a ``p`` beside integer
     counts is undefined precision instead, and renders ``undefined``. The
     rule reads the row's values, never its cell text.
     """
-    values = list(zip(*table.rows))
-    columns = list(map(_text_column, values))
-    if values and "p" in table.columns and "x" in table.columns:
+    values = list(zip(*table.rows)) or [()] * len(table.columns)
+    columns = [
+        _text_column(_TEXT_HEADERS.get(key, key), column)
+        for key, column in zip(table.columns, values)
+    ]
+    if "p" in table.columns and "x" in table.columns:
         p, x = table.columns.index("p"), table.columns.index("x")
-        columns[p] = [
+        columns[p][1:] = [
             "undefined" if value is None and isinstance(count, int) else text
-            for text, value, count in zip(columns[p], values[p], values[x])
+            for text, value, count in zip(columns[p][1:], values[p], values[x])
         ]
-    return list(zip(*columns))
+    return columns
 
 
 def _render_text(doc: ReportDocument) -> str:
@@ -204,16 +211,15 @@ def _render_text(doc: ReportDocument) -> str:
     lines.append("=" * len(lines[0]))
     lines.extend(f"{key}: {_cell(value)}" for key, value in doc.metadata.items())
     for table in _all_tables(doc):
-        columns = tuple(_TEXT_HEADERS.get(key, key) for key in table.columns)
-        rows = _text_rows(table)
-        widths = [max(map(len, column)) for column in zip(columns, *rows)]
-        row = "  ".join(f"{{:<{w}}}" for w in widths).format
-        lines.append("")
-        lines.append(table.title)
-        lines.append(row(*columns).rstrip())
-        lines.append("  ".join("-" * w for w in widths))
-        lines.extend(map(str.rstrip, starmap(row, rows)))
-    return "\n".join(lines) + "\n"
+        columns = _text_columns(table)
+        widths = [max(map(len, column)) for column in columns]
+        line = "  ".join(f"%-{w}s" for w in widths).__mod__
+        text = map(str.rstrip, map(line, zip(*columns)))
+        lines += ("", table.title, next(text), "  ".join("-" * w for w in widths))
+        lines.extend(text)
+    # An empty last line ends the report in a newline without copying it again.
+    lines.append("")
+    return "\n".join(lines)
 
 
 _INDENT = "  "
@@ -234,35 +240,30 @@ def _holds_container(values) -> bool:
     return any(issubclass(t, _CONTAINERS) for t in set(map(type, values)))
 
 
-def _flat_dict_rows(rows) -> bool:
-    """True for a list of non-empty dicts whose values are all scalars."""
-    return (
-        all(rows)
-        and all(issubclass(t, dict) for t in set(map(type, rows)))
-        and not _holds_container(chain.from_iterable(map(dict.values, rows)))
-    )
-
-
 def _json_at(value, depth: int) -> str:
     """``value`` as indented JSON for a place ``depth`` indents deep."""
     if not isinstance(value, _CONTAINERS):
         return _c_encode(0)(value)
+    pad = "\n" + _INDENT * (depth + 1)
+    end = "\n" + _INDENT * depth
+    if isinstance(value, ReportTable):
+        if not value.rows:
+            return "[]"
+        # One C call per column, split into its cells, and one '%' template
+        # for every row. The keys are distinct, so sorting never compares columns.
+        keys, columns = zip(*sorted(zip(value.columns, zip(*value.rows))))
+        heads = _c_encode(0)(keys)[1:-1].replace("%", "%%").split(",\n")
+        key_pad = pad + _INDENT
+        row = "{" + key_pad + ("," + key_pad).join(h + ": %s" for h in heads) + pad + "}"
+        cells = (_c_encode(0)(column)[1:-1].split(",\n") for column in columns)
+        return "[" + pad + ("," + pad).join(map(row.__mod__, zip(*cells))) + end + "]"
     if not value:
         return "{}" if isinstance(value, dict) else "[]"
     is_dict = isinstance(value, dict)
-    pad = "\n" + _INDENT * (depth + 1)
-    end = "\n" + _INDENT * depth
     if not _holds_container(value.values() if is_dict else value):
         # One call; only the opening and closing brackets need their own lines.
         text = _c_encode(depth + 1)(value)
         return text[0] + pad + text[1:-1] + end + text[-1]
-    if not is_dict and _flat_dict_rows(value):
-        # One call for all rows; "}," + row_pad + "{" can only be a row join,
-        # since a string always ends in a quote.
-        row_pad = pad + _INDENT
-        body = _c_encode(depth + 2)(value)[2:-2]
-        body = body.replace("}," + row_pad + "{", pad + "}," + pad + "{" + row_pad)
-        return "[" + pad + "{" + row_pad + body + pad + "}" + end + "]"
     if is_dict:
         # The keys, encoded and sorted by the C encoder: '"key": 0' per line.
         heads = _c_encode(0)(dict.fromkeys(value, 0))[1:-1].split(",\n")
@@ -279,24 +280,16 @@ def json_text(value) -> str:
     """``value`` as canonical JSON: the bytes of ``json.dumps(value, indent=2,
     sort_keys=True, ensure_ascii=True)`` plus a trailing newline.
 
-    ``json.dumps`` with an indent always runs the pure-Python encoder. This
-    writer runs the C encoder once per container, or once per list of flat
-    dicts (such as the per-year rows), and splices the indentation in.
+    A ``ReportTable`` in ``value`` is written as its list of row objects, one
+    column at a time. ``json.dumps`` with an indent always runs the
+    pure-Python encoder. This writer runs the C encoder once per container,
+    or once per column of a table, and splices the indentation in.
     """
     return _json_at(value, 0) + "\n"
 
 
-def _json_value(value):
-    """``value`` with every table in it written as its list of row objects."""
-    if isinstance(value, ReportTable):
-        return [dict(zip(value.columns, row)) for row in value.rows]
-    if isinstance(value, dict):
-        return {key: _json_value(item) for key, item in value.items()}
-    return value
-
-
 def _render_json(doc: ReportDocument) -> str:
-    result = _json_value(doc.result)
+    result = dict(doc.result)
     if doc.summary is not None:
         result.update(zip(doc.summary.columns, doc.summary.rows[0]))
     return json_text({"report": doc.kind, "metadata": doc.metadata, "result": result})
@@ -309,8 +302,9 @@ def _render_plot_csv(doc: ReportDocument) -> str:
     for table in _all_tables(doc):
         if "p" in table.columns:
             p = table.columns.index("p")
+            c = None if doc.plot_label else table.columns.index("configuration")
             for row in table.rows:
-                label = doc.plot_label or row[table.columns.index("configuration")]
+                label = doc.plot_label or row[c]
                 writer.writerow([label, "" if row[p] is None else format_number(row[p])])
     return out.getvalue()
 
@@ -337,7 +331,7 @@ def profile_to_json(profile: IntervalProfile, rule: QuorumRule) -> str:
         "quorum": rule.q,
         "profile": _profile_body(profile),
     }
-    return json_text(_json_value(doc))
+    return json_text(doc)
 
 
 _NUMBER = (int, float)

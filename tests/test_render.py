@@ -72,13 +72,22 @@ documents = st.recursive(
     containers,
     max_leaves=30,
 )
-# Lists of rows: flat dicts only (the one-call path, empty dicts included),
-# or flat dicts mixed with flat lists and scalars (the general path).
+# Lists of rows: flat dicts only (empty dicts included), non-empty flat dicts,
+# or flat dicts mixed with flat lists and scalars.
 row_lists = st.one_of(
     st.lists(flat_dicts, max_size=5),
     st.lists(st.dictionaries(strings, scalars, min_size=1, max_size=4), min_size=1, max_size=5),
     st.lists(st.one_of(flat_dicts, flat_lists, scalars), max_size=5),
 )
+
+
+@st.composite
+def report_tables(draw):
+    """A table of 1-4 distinct keys, some with '%' in them, and 0-5 rows of scalars."""
+    keys = st.one_of(strings, st.sampled_from(("%", "%s", "%%")))
+    columns = tuple(draw(st.lists(keys, min_size=1, max_size=4, unique=True)))
+    rows = draw(st.lists(st.tuples(*[scalars] * len(columns)), max_size=5))
+    return ReportTable(draw(strings), columns, tuple(rows))
 
 
 class TestJsonText:
@@ -94,6 +103,14 @@ class TestJsonText:
         for _ in range(depth):
             value = {"result": value, "x": 1}
         assert json_text(value) == reference_json(value)
+
+    @settings(max_examples=300, deadline=None)
+    @given(report_tables(), st.integers(0, 2))
+    def test_tables_at_any_depth(self, table, depth):
+        value = table
+        for _ in range(depth):
+            value = {"result": value, "x": 1}
+        assert json_text(value) == reference_json(ref._json(value))
 
     def test_edge_values(self):
         for value in (
@@ -195,7 +212,8 @@ def text_doc(*tables, metadata=None):
 
 
 cells = st.one_of(
-    st.sampled_from(("", " ", "-", "undefined", " pad ", "{}", "{0}")), st.text(max_size=12)
+    st.sampled_from(("", " ", "-", "undefined", " pad ", "{}", "{0}", "%s", "%%", "%-3s")),
+    st.text(max_size=12),
 )
 
 
@@ -219,6 +237,7 @@ class TestRenderText:
                 ("x", "y", "note"),
                 (("123456", "-", "a long note"), ("1", "", ""), ("", "7", "n")),
             ),
+            ReportTable("one column", ("year",), (("2001",), ("",))),
             metadata={},
         )
         assert emit_report(doc, "text") == ref.render_text(doc)
