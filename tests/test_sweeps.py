@@ -1,5 +1,7 @@
 """Sweep harness: grids, determinism, skips, and the planted-signal findings."""
 
+import math
+
 import pytest
 
 import factorcast.backtest
@@ -13,6 +15,7 @@ from factorcast import (
 )
 from factorcast.errors import (
     InvalidQuorum,
+    InvalidThreshold,
     LabelMismatch,
     LagTooLarge,
     TooManyFactors,
@@ -170,8 +173,20 @@ class TestQuorumSweep:
         with pytest.raises(InvalidQuorum):
             quorum_sweep(THREE_FACTOR, LABELS, spec_for("quorum", grid=(0.5, 1.5)))
 
+    @pytest.mark.parametrize("q, shown", [(0, "0.0"), (-0.5, "-0.5"), (math.nan, "nan")])
+    def test_quorum_outside_the_unit_interval_raises_with_its_message(self, q, shown):
+        with pytest.raises(InvalidQuorum) as caught:
+            quorum_sweep(THREE_FACTOR, LABELS, spec_for("quorum", grid=(0.5, q, 1.0)))
+        assert str(caught.value) == f"quorum must be a fraction in (0, 1], got {shown}"
+
 
 class TestThresholdSensitivity:
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_threshold_raises_with_its_message(self, value):
+        with pytest.raises(InvalidThreshold) as caught:
+            threshold_sensitivity(THREE_FACTOR, spec_for("threshold", grid=(8.0, value, 9.0)))
+        assert str(caught.value) == f"threshold must be finite, got {value!r}"
+
     def test_infeasible_threshold_is_skipped(self):
         too_high = max(THREE_FACTOR.incidence) + 1
         report = threshold_sensitivity(
