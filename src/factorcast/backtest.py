@@ -95,8 +95,8 @@ class BacktestResult(NamedTuple):
         return sum(1 for v in self.verdicts if v.prediction != "no_forecast")
 
 
-def select_threshold(m: TemporalMatrix, min_critical: int = 2) -> CriticalThreshold:
-    """Largest observed incidence value that still yields >= min_critical criticals.
+def select_threshold(m: TemporalMatrix, min_critical: int = 2, lag: int = 0) -> CriticalThreshold:
+    """Largest incidence value from row ``lag`` on that still yields >= min_critical criticals.
 
     Candidate thresholds are the observed incidence values themselves, since
     labelings only change there. The most extreme qualifying line is chosen;
@@ -106,11 +106,12 @@ def select_threshold(m: TemporalMatrix, min_critical: int = 2) -> CriticalThresh
     """
     if min_critical < 2:
         raise ValueError("min_critical must be at least 2")
-    if m.n_years < min_critical:
-        raise InsufficientYears(m.n_years, min_critical)
-    value = sorted(m.incidence, reverse=True)[min_critical - 1]
+    incidence = m.incidence[check_lag(lag, m.n_years) :]
+    if len(incidence) < min_critical:
+        raise InsufficientYears(len(incidence), min_critical)
+    value = sorted(incidence, reverse=True)[min_critical - 1]
     # Report the first equal value in series order: 0.0 and -0.0 are equal but print apart.
-    return CriticalThreshold(m.incidence[m.incidence.index(value)], "selected")
+    return CriticalThreshold(incidence[incidence.index(value)], "selected")
 
 
 def threshold_value(m: TemporalMatrix, labels: CriticalLabels, cfg: BacktestConfig) -> float:

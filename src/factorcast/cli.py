@@ -291,8 +291,7 @@ def _setup(args, fixed_threshold: float | None = None):
     if fixed_threshold is not None:
         threshold = CriticalThreshold(fixed_threshold, "selected")
     elif args.select_threshold:
-        lagged = m.window(args.lag, m.n_years) if args.lag else m  # a window copies columns
-        threshold = select_threshold(lagged, args.min_critical)
+        threshold = select_threshold(m, args.min_critical, args.lag)
     else:
         threshold = CriticalThreshold(args.threshold, "expert")
     return metadata, m, selection, threshold, label_critical(m, threshold)

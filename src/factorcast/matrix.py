@@ -191,15 +191,20 @@ class TemporalMatrix(Frozen):
         return out.getvalue()
 
 
+def finite_threshold(value: float) -> float:
+    """``value`` as a float; raises :class:`InvalidThreshold` unless it is finite."""
+    if not math.isfinite(value := float(value)):
+        raise InvalidThreshold(value)
+    return value
+
+
 class CriticalThreshold(Frozen):
     """The extreme incidence line; years at or above it are critical."""
 
     __slots__ = ("value", "source")
 
     def __init__(self, value: float, source: Literal["expert", "selected"] = "expert"):
-        value = float(value)
-        if not math.isfinite(value):
-            raise InvalidThreshold(value)
+        value = finite_threshold(value)
         if source not in ("expert", "selected"):
             raise MatrixError(f"threshold source must be 'expert' or 'selected', got {source!r}")
         self._set(value, source)
@@ -394,10 +399,11 @@ def label_critical(m: TemporalMatrix, threshold: CriticalThreshold) -> CriticalL
     return CriticalLabels(m.years, flags, threshold)
 
 
-def check_lag(lag: int, n_years: int) -> None:
-    """Raise unless ``lag`` leaves at least one of ``n_years`` rows."""
+def check_lag(lag: int, n_years: int) -> int:
+    """``lag``; raises unless it leaves at least one of ``n_years`` rows."""
     if lag < 0:
         raise ValueError("lag must be non-negative")
     if lag >= n_years:
         raise LagTooLarge(lag, n_years)
+    return lag
 

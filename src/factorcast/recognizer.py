@@ -21,7 +21,7 @@ concurrently over the same matrix without coordination.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+from functools import partial
 from itertools import compress
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
@@ -74,6 +74,13 @@ class IntervalProfile(Frozen):
         return len(self.intervals)
 
 
+def quorum_fraction(q: float) -> float:
+    """``q`` as a float; raises :class:`InvalidQuorum` unless it lies in (0, 1]."""
+    if not (0.0 < (q := float(q)) <= 1.0):
+        raise InvalidQuorum(q)
+    return q
+
+
 class QuorumRule(Frozen):
     """Flag a year when it hits at least ceil(q * F) of the F intervals.
 
@@ -84,10 +91,7 @@ class QuorumRule(Frozen):
     __slots__ = ("q",)
 
     def __init__(self, q: float):
-        q = float(q)
-        if not (0.0 < q <= 1.0):
-            raise InvalidQuorum(q)
-        self._set(q)
+        self._set(quorum_fraction(q))
 
     def required(self, n_factors: int) -> int:
         if n_factors < 1:
@@ -194,6 +198,9 @@ class Lanes(NamedTuple):
         return score
 
 
+_lanes = partial(tuple.__new__, Lanes)  # from one field tuple; Lanes(...) costs more
+
+
 def membership_lanes(
     columns: Sequence[Sequence[float]],
     critical: Sequence[bool] = (),
@@ -229,19 +236,16 @@ def membership_lanes(
     ones = _to_lane(b"\x01" * rows, w)
     eps = float(widen_eps)
     if rolling:
-        # The critical rows, listed once per pass. The first scored row has
-        # min_critical of them before it (it is past the end when there are
-        # fewer), and those before it seed every column's envelope.
-        idx = list(compress(range(n_rows), critical))
-        if min_critical <= 0:
-            first = 0
-        elif min_critical <= len(idx):
-            first = idx[min_critical - 1] + 1
-        else:
-            first = n_rows + 1
-        first = max(start, first)
+        # The first scored row is start or, if later, the one after the min_critical-th critical
+        # row (bounded searches; none if too few). The critical rows before it seed every envelope.
+        head, first = list(compress(range(start), critical[:start])), start
+        try:
+            while len(head) < min_critical:
+                first = critical.index(True, first, n_rows) + 1
+                head.append(first - 1)
+        except ValueError:
+            first = max(start, n_rows)
         skip = 8 * w * (first - start)
-        head = idx[: bisect_left(idx, first)]
         tail, ks = critical[first:n_rows], range(n_rows - first)
         lanes = []
         for col in columns:
@@ -268,14 +272,14 @@ def membership_lanes(
                     if v > b:
                         b, hi = v, v + eps
             lanes.append((int.from_bytes(buf, "little") if w == 1 else _to_lane(buf, w)) << skip)
-        return Lanes(lanes, ones >> skip << skip, ones, w, rows)
+        return _lanes((lanes, ones >> skip << skip, ones, w, rows))
     if profile is not None:
         lo = [iv.lo - iv.widen_eps for iv in profile.intervals]
         hi = [iv.hi + iv.widen_eps for iv in profile.intervals]
     elif mode in ("leave_one_out", "in_sample"):
         train = [list(compress(col, critical)) for col in columns]
         if not train or not train[0]:
-            return Lanes([0] * len(columns), 0, ones, w, rows)
+            return _lanes(([0] * len(columns), 0, ones, w, rows))
         ranked = [sorted(values) for values in train]
         lo, hi = [s[0] - eps for s in ranked], [s[-1] + eps for s in ranked]
     else:
@@ -290,13 +294,13 @@ def membership_lanes(
         # a factor's unique minimum (maximum) moves that edge to the runner-up.
         held = list(compress(range(n_rows), critical))
         if len(held) == 1:
-            return Lanes(lanes, ones - (1 << 8 * w * held[0]), ones, w, rows)
+            return _lanes((lanes, ones - (1 << 8 * w * held[0]), ones, w, rows))
         for j, (values, s) in enumerate(zip(train, ranked)):
             if s[0] < s[1] - eps:
                 lanes[j] -= 1 << 8 * w * held[values.index(s[0])]
             if s[-1] > s[-2] + eps:
                 lanes[j] -= 1 << 8 * w * held[values.index(s[-1])]
-    return Lanes(lanes, ones, ones, w, rows)
+    return _lanes((lanes, ones, ones, w, rows))
 
 
 def membership_count(year_factors: Mapping[str, float], profile: IntervalProfile) -> int:

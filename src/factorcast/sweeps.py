@@ -15,22 +15,23 @@ Quorum and factor_subset rows are ``backtest`` on the base window, never skipped
 
 from __future__ import annotations
 
+import math
 from functools import partial
-from itertools import combinations
+from itertools import combinations, groupby
 from typing import Iterable, NamedTuple
 
 from .backtest import BacktestConfig, evaluation_lanes, threshold_value
 from .errors import TooManyFactors, WindowTooShort
 from .matrix import (
     CriticalLabels,
-    CriticalThreshold,
     FactorSelection,
     Frozen,
     TemporalMatrix,
     check_lag,
+    finite_threshold,
     format_number,
 )
-from .recognizer import QuorumRule, precision
+from .recognizer import quorum_fraction
 
 MAX_SUBSET_FACTORS = 16
 
@@ -90,14 +91,6 @@ class SweepReport(NamedTuple):
 _row = partial(tuple.__new__, SweepRow)
 
 
-def _ok_row(label: str, x: int, y: int, n_no_forecast: int) -> SweepRow:
-    return _row((label, "ok", x, y, precision(x, y), n_no_forecast, ""))
-
-
-def _skipped_row(label: str, note: str) -> SweepRow:
-    return SweepRow(label, "skipped", None, None, None, None, note)
-
-
 def _sliced_sweep(axis: str, m: TemporalMatrix, spec: SweepSpec, points: list) -> SweepReport:
     """One row per ``(label, value, lag, flags)`` point, scored by :func:`evaluation_lanes`.
 
@@ -106,28 +99,28 @@ def _sliced_sweep(axis: str, m: TemporalMatrix, spec: SweepSpec, points: list) -
     longer than the ``n - cfg.lag`` years the base lag leaves. A point is
     skipped when its window exceeds them, when its flags hold too few critical
     years, or when a rolling replay has no forecast origin, in that order.
-    Points with the same lag and flags share one kernel pass: ``value`` is
-    None on the threshold axis, whose flags are the rolling training rows.
+    Points with the same lag, ``k`` and count of critical years share one kernel
+    pass: on one axis those fix the flags, since the lag and row-length axes cut
+    one label tuple and relabels at rising thresholds nest. ``value`` is None on
+    the threshold axis, whose flags are the rolling training rows.
     """
     cfg, n, names = spec.config, m.n_years - spec.config.lag, spec.selection.names
-    required = cfg.rule.required(len(names))
-    scores: dict[tuple, tuple[int, int, int]] = {}  # (lag, flags) -> x, y, no_forecast
-    rows = []
+    required, rolling = cfg.rule.required(len(names)), cfg.eval_mode == "rolling"
+    scores, rows = {}, []  # scores: a shared key's ok row fields after the label
     for label, value, lag, flags in points:
+        _, k, n_critical = key = (lag, len(flags), flags.count(True)) if flags else (lag, 0, 0)
         if flags is None:
-            rows.append(_skipped_row(label, f"window exceeds {n}-year series"))
-            continue
-        packed = bytes(flags)
-        key, n_critical, length = (lag, packed), packed.count(1), len(packed)
-        if n_critical < cfg.min_train_critical:
+            note = f"window exceeds {n}-year series"
+        elif n_critical < cfg.min_train_critical:
             note = f"{n_critical} critical years, {cfg.min_train_critical} required"
-        elif cfg.eval_mode == "rolling" and length <= cfg.min_train_years:
-            note = f"{length} years, {cfg.min_train_years + 1} required"
+        elif rolling and k <= cfg.min_train_years:
+            note = f"{k} years, {cfg.min_train_years + 1} required"
         elif key not in scores:
             lanes, truth = evaluation_lanes(m, names, flags, value, cfg, lag)
-            scores[key] = lanes.scorer(truth)(sum(lanes.factors), required)
+            x, y, unscored = lanes.scorer(truth)(sum(lanes.factors), required)
+            scores[key] = "ok", x, y, x / (x + y) if x + y else None, unscored, ""
         # The skip rules read only the key, so a key is scored exactly when its point is ok.
-        rows.append(_ok_row(label, *scores[key]) if key in scores else _skipped_row(label, note))
+        rows.append(_row((label, *(scores.get(key) or ("skipped", None, None, None, None, note)))))
     return SweepReport(axis, tuple(rows))
 
 
@@ -153,10 +146,9 @@ def subset_sweep(
     """Evaluate every factor subset in the grid with the base configuration.
 
     A factor's membership lane does not depend on the subset, so the sweep is
-    one kernel pass over the union of the grid's factors. A subset's lane sum
-    is its prefix's sum (all but its last factor, kept from the previous size's
-    subsets when the grid holds it there) plus one lane, and one SWAR quorum
-    step scores it, so each of the 2^F - 1 subsets of ``all`` costs one add.
+    one kernel pass over the union of the grid's factors. A subset whose prefix
+    (all but its last factor) is in the run of one-smaller subsets before it, as
+    in ``all``, costs one lane add, one label append, one SWAR step and one row.
 
     More factors does not always mean higher precision: under a partial
     quorum an uninformative factor can vote otherwise-rejected years past
@@ -171,18 +163,19 @@ def subset_sweep(
         names = tuple(index)
     value = threshold_value(m, labels, spec.config)
     lanes, truth = evaluation_lanes(m, names, labels.is_critical, value, spec.config)
-    score, factors = lanes.scorer(truth), lanes.factors
-    required = {size: spec.config.rule.required(size) for size in range(1, len(names) + 1)}
-    # sums: the lane sums of the latest size's subsets; previous: those one factor smaller.
-    size, sums, previous, rows = 0, {(): 0}, {}, []
-    for subset in subsets:
-        if len(subset) != size:
-            previous, sums = sums if len(subset) == size + 1 else {}, {}
-            size = len(subset)
-        base = previous.get(subset[:-1])
-        total = sum([factors[j] for j in subset]) if base is None else base + factors[subset[-1]]
-        sums[subset] = total
-        rows.append(_ok_row("+".join([names[j] for j in subset]), *score(total, required[size])))
+    score, factors, rows, known = lanes.scorer(truth), lanes.factors, [], {}
+    for size, run in groupby(subsets, len):  # known: each subset's lane sum and label
+        previous, known, required = known, {}, spec.config.rule.required(size)
+        for subset in run:
+            prefix = previous.get(subset[:-1])
+            if prefix is None:
+                total = sum([factors[j] for j in subset])
+                label = "+".join([names[j] for j in subset])
+            else:
+                total, label = prefix[0] + factors[subset[-1]], f"{prefix[1]}+{names[subset[-1]]}"
+            known[subset] = total, label
+            x, y, unscored = score(total, required)
+            rows.append(_row((label, "ok", x, y, x / (x + y) if x + y else None, unscored, "")))
     return SweepReport("factor_subset", tuple(rows))
 
 
@@ -194,11 +187,14 @@ def quorum_sweep(
     One kernel pass serves the whole grid: the factors' lanes are summed once,
     and each grid point is one SWAR step of that sum against its own ``required``.
     """
-    rules = [QuorumRule(float(q)) for q in spec.grid]
+    fractions = [quorum_fraction(q) for q in spec.grid]
     n, value = spec.selection.n_factors, threshold_value(m, labels, spec.config)
     lanes, truth = evaluation_lanes(m, spec.selection.names, labels.is_critical, value, spec.config)
-    total, score = sum(lanes.factors), lanes.scorer(truth)
-    rows = [_ok_row(format_number(r.q), *score(total, r.required(n))) for r in rules]
+    total, score, rows = sum(lanes.factors), lanes.scorer(truth), []
+    for q in fractions:
+        x, y, unscored = score(total, math.ceil(q * n))  # QuorumRule(q).required(n)
+        p = x / (x + y) if x + y else None
+        rows.append(_row((format_number(q), "ok", x, y, p, unscored, "")))
     return SweepReport("quorum", tuple(rows))
 
 
@@ -208,7 +204,7 @@ def threshold_sensitivity(m: TemporalMatrix, spec: SweepSpec) -> SweepReport:
     Too few critical years, or no rolling forecast origin, makes a skipped
     row; thresholds that the same incidence values reach share one kernel pass.
     """
-    values = [CriticalThreshold(float(value), "selected").value for value in spec.grid]
+    values = [finite_threshold(value) for value in spec.grid]
     lag, incidence = spec.config.lag, m.incidence[spec.config.lag :]
     points = [(format_number(v), None, lag, [x >= v for x in incidence]) for v in values]
     return _sliced_sweep("threshold", m, spec, points)
@@ -222,9 +218,8 @@ def lag_sweep(m: TemporalMatrix, labels: CriticalLabels, spec: SweepSpec) -> Swe
     """
     value, n, flags = threshold_value(m, labels, spec.config), m.n_years, labels.is_critical
     lags = [int(lag) for lag in spec.grid]
-    for lag in lags:
-        check_lag(lag, n)
-    return _sliced_sweep("lag", m, spec, [(str(lag), value, lag, flags[lag:]) for lag in lags])
+    points = [(str(lag), value, check_lag(lag, n), flags[lag:]) for lag in lags]
+    return _sliced_sweep("lag", m, spec, points)
 
 
 def row_length_sweep(
@@ -249,12 +244,7 @@ def run_sweep(
     m: TemporalMatrix, labels: CriticalLabels | None, spec: SweepSpec
 ) -> SweepReport:
     """Dispatch on the sweep axis. ``labels`` is ignored for the threshold axis."""
-    if spec.axis == "factor_subset":
-        return subset_sweep(m, labels, spec)
-    if spec.axis == "quorum":
-        return quorum_sweep(m, labels, spec)
     if spec.axis == "threshold":
         return threshold_sensitivity(m, spec)
-    if spec.axis == "lag":
-        return lag_sweep(m, labels, spec)
-    return row_length_sweep(m, labels, spec)
+    sweeps = {"factor_subset": subset_sweep, "quorum": quorum_sweep, "lag": lag_sweep}
+    return sweeps.get(spec.axis, row_length_sweep)(m, labels, spec)

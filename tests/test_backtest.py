@@ -18,7 +18,7 @@ from factorcast import (
     select_threshold,
 )
 from factorcast.backtest import Verdict
-from factorcast.errors import InsufficientYears, LabelMismatch
+from factorcast.errors import InsufficientYears, LabelMismatch, LagTooLarge
 from factorcast.matrix import TemporalMatrix
 from factorcast.synth import PlantSpec, generate
 
@@ -92,6 +92,32 @@ class TestSelectThreshold:
         assert outcomes[0] == outcomes[1]
         if 2 <= min_critical <= m.n_years:
             assert isinstance(outcomes[0], tuple)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_lag_selects_as_the_scan_over_the_lagged_window(self, data):
+        incidence = data.draw(st.lists(st.sampled_from(self.TIE_VALUES), min_size=1, max_size=20))
+        m = make_matrix(tuple(incidence), f=tuple(0.0 for _ in incidence))
+        lag = data.draw(st.integers(0, m.n_years - 1))
+        min_critical = data.draw(st.integers(2, m.n_years + 1))
+        calls = (
+            lambda: select_threshold(m, min_critical, lag),
+            lambda: reference_select_threshold(m.window(lag, m.n_years), min_critical),
+        )
+        outcomes = []
+        for select in calls:
+            try:
+                threshold = select()
+            except InsufficientYears as exc:
+                outcomes.append(str(exc))
+            else:
+                outcomes.append((repr(threshold.value), threshold.source))
+        assert outcomes[0] == outcomes[1]
+
+    @pytest.mark.parametrize("lag", (-1, 6))
+    def test_lag_outside_the_series_raises(self, lag):
+        with pytest.raises(LagTooLarge if lag > 0 else ValueError):
+            select_threshold(WORKED, 2, lag)
 
 
 def worked_backtest(threshold):

@@ -471,6 +471,18 @@ def test_kernel_matches_reference(mode, case):
     )
 
 
+@settings(max_examples=300, deadline=None)
+@given(case=kernel_cases(), min_critical=st.integers(0, 5))
+def test_rolling_kernel_on_a_list_of_flags_matches_reference(case, min_critical):
+    """``critical`` as the list ``evaluation_lanes`` passes, often with too few critical rows."""
+    columns, critical, kwargs = case
+    kwargs["min_critical"] = min_critical
+    critical = list(critical)
+    assert membership_masks(columns, critical, "rolling", **kwargs) == ref.masks(
+        columns, critical, "rolling", **kwargs
+    )
+
+
 # Around 2**52, 2**53 and 2**54 floats lie 0.5 to 4 apart, so ``v - eps`` and
 # ``v + eps`` round (often onto v itself) for eps in {0.5, 1, 2}: an edge kept as a
 # raw extreme must widen to exactly the reference's ``min - eps`` and ``max + eps``.
