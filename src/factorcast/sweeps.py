@@ -2,9 +2,10 @@
 
 Each sweep varies exactly one axis of a base configuration and reports one
 row per grid point. Reports are deterministic for fixed inputs: grid order is
-preserved, factor subsets are enumerated by size then lexicographically, and
-infeasible grid points stay in the report as skipped rows so the sweep shape
-always matches the grid. Every axis takes an evaluation's training rows and
+preserved, all factor subsets run by size, then by their tuples of names in
+selection order (each size built from the one below), and infeasible grid
+points stay in the report as skipped rows so the sweep shape always matches
+the grid. Every axis takes an evaluation's training rows and
 truth from :func:`backtest.evaluation_lanes`. On the threshold, lag and
 row-length axes a grid point is a row window plus its flags (a relabel on the
 threshold axis, the labels' flags on the other two); points with the same pair
@@ -17,7 +18,6 @@ from __future__ import annotations
 
 import math
 from functools import partial
-from itertools import combinations, groupby
 from typing import Iterable, NamedTuple
 
 from .backtest import BacktestConfig, evaluation_lanes, threshold_value
@@ -124,20 +124,31 @@ def _sliced_sweep(axis: str, m: TemporalMatrix, spec: SweepSpec, points: list) -
     return SweepReport(axis, tuple(rows))
 
 
-def enumerate_subsets(selection: FactorSelection) -> tuple[tuple[int, ...], ...]:
-    """All non-empty subsets as index tuples (ascending) into ``selection.names``.
+def _successors(selection: FactorSelection) -> list[list[int]]:
+    """``after[i]``: the indices ``i..F-1`` of ``selection.names``, sorted by name, for i in 0..F.
 
-    They run by size, then lexicographically by the tuples of their names.
+    A subset whose largest index is ``i - 1`` grows by each of them in turn, and
+    ``after[0]`` lists the single factors.
     """
     if selection.n_factors > MAX_SUBSET_FACTORS:
         raise TooManyFactors(selection.n_factors, MAX_SUBSET_FACTORS)
-    names, indices = selection.names, range(selection.n_factors)
-    # Each size's name tuples sort with their index tuples in tow; names are distinct.
-    return tuple(
-        subset
-        for size in range(1, selection.n_factors + 1)
-        for _, subset in sorted(zip(combinations(names, size), combinations(indices, size)))
-    )
+    order = sorted(range(selection.n_factors), key=selection.names.__getitem__)
+    return [[k for k in order if k >= i] for i in range(selection.n_factors + 1)]
+
+
+def enumerate_subsets(selection: FactorSelection) -> tuple[tuple[int, ...], ...]:
+    """All non-empty subsets as index tuples (ascending) into ``selection.names``.
+
+    They run by size, then by the tuples of their names in selection order.
+    Each size comes from the one below: the subsets of a size keep their
+    parents' order, and a parent's children add each index after its last, in
+    name order (``after`` of :func:`_successors`).
+    """
+    after, level, subsets = _successors(selection), [((), 0)], []
+    for _ in range(selection.n_factors):
+        level = [(subset + (k,), k + 1) for subset, j in level for k in after[j]]
+        subsets += [subset for subset, _ in level]
+    return tuple(subsets)
 
 
 def subset_sweep(
@@ -146,36 +157,37 @@ def subset_sweep(
     """Evaluate every factor subset in the grid with the base configuration.
 
     A factor's membership lane does not depend on the subset, so the sweep is
-    one kernel pass over the union of the grid's factors. A subset whose prefix
-    (all but its last factor) is in the run of one-smaller subsets before it, as
-    in ``all``, costs one lane add, one label append, one SWAR step and one row.
+    one kernel pass over the union of the grid's factors. ``all`` walks the
+    subsets in :func:`enumerate_subsets` order, one size at a time: each is
+    ``(next index, lane sum, label)``, and a child of its parent costs one lane
+    add, one label append, one SWAR step and one row. An explicit grid sums
+    each subset's own lanes.
 
     More factors does not always mean higher precision: under a partial
     quorum an uninformative factor can vote otherwise-rejected years past
     the requirement, so supersets may score strictly worse.
     """
     if spec.grid is None:
-        names, subsets = spec.selection.names, enumerate_subsets(spec.selection)
+        names, after = spec.selection.names, _successors(spec.selection)
     else:
-        index: dict[str, int] = {}  # each grid name's lane, in order of first use
         grid = [FactorSelection(subset).names for subset in spec.grid]
-        subsets = [tuple(index.setdefault(name, len(index)) for name in sub) for sub in grid]
-        names = tuple(index)
+        names = tuple(dict.fromkeys(name for sub in grid for name in sub))  # by first use
     value = threshold_value(m, labels, spec.config)
     lanes, truth = evaluation_lanes(m, names, labels.is_critical, value, spec.config)
-    score, factors, rows, known = lanes.scorer(truth), lanes.factors, [], {}
-    for size, run in groupby(subsets, len):  # known: each subset's lane sum and label
-        previous, known, required = known, {}, spec.config.rule.required(size)
-        for subset in run:
-            prefix = previous.get(subset[:-1])
-            if prefix is None:
-                total = sum([factors[j] for j in subset])
-                label = "+".join([names[j] for j in subset])
-            else:
-                total, label = prefix[0] + factors[subset[-1]], f"{prefix[1]}+{names[subset[-1]]}"
-            known[subset] = total, label
-            x, y, unscored = score(total, required)
+    score, factors, required, rows = lanes.scorer(truth), lanes.factors, spec.config.rule.required, []
+    if spec.grid is not None:
+        lane = dict(zip(names, factors))
+        for sub in grid:
+            x, y, unscored = score(sum([lane[name] for name in sub]), required(len(sub)))
+            rows.append(_row(("+".join(sub), "ok", x, y, x / (x + y) if x + y else None, unscored, "")))
+        return SweepReport("factor_subset", tuple(rows))
+    level = [(k + 1, factors[k], names[k]) for k in after[0]]  # (next index, lane sum, label)
+    for size in range(1, len(names) + 1):
+        q = required(size)
+        for _, total, label in level:
+            x, y, unscored = score(total, q)
             rows.append(_row((label, "ok", x, y, x / (x + y) if x + y else None, unscored, "")))
+        level = [(k + 1, t + factors[k], f"{lb}+{names[k]}") for j, t, lb in level for k in after[j]]
     return SweepReport("factor_subset", tuple(rows))
 
 

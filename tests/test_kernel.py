@@ -31,6 +31,7 @@ from factorcast import (
 )
 from factorcast.cli import main
 from factorcast.backtest import EVAL_MODES
+from factorcast.errors import LabelMismatch, TooManyFactors
 from factorcast.matrix import CriticalLabels, TemporalMatrix, format_number
 from factorcast.recognizer import (
     FactorInterval,
@@ -200,17 +201,18 @@ def test_explicit_subset_grid_with_reordered_and_overlapping_subsets(data):
 def test_explicit_subset_grid_whose_prefixes_are_absent_late_reordered_or_repeated(data):
     m, labels, selection, cfg = data.draw(configurations(f_min=3))
     a, b, c, *_ = data.draw(st.permutations(m.factor_names))
-    # Each subset is scored from the sum of its prefix (all but its last factor)
-    # only where the subsets just before it, one factor smaller, hold that prefix.
+    # Each subset's prefix (all but its last factor) is missing, comes later or
+    # sits just before it: the cases a scorer that reuses a prefix's lane sum
+    # must tell apart. An explicit grid sums each subset's own lanes.
     grid = (
         (a, c),  # prefix a absent
         (a, b, c),  # prefix a+b comes later
         (a, b),  # smaller than the subset before
         (b,),
         (a,),
-        (a, b),  # prefix a found; its tail b is also a key
+        (a, b),  # prefix a just before, its tail b before that
         (c, a),  # prefix c absent, a+c reordered
-        (c, a, b),  # prefix c+a found; its tail a+b is also a key
+        (c, a, b),  # prefix c+a just before, its tail a+b earlier
         (c, a, b),  # repeated
         (b, c, a),  # prefix b+c absent
     )
@@ -248,6 +250,34 @@ def test_all_subsets_of_twelve_factors_match_reference_mask_counts(tmp_path, cap
         x = sum(1 for hit, truth in zip(hits, critical[5:]) if hit and truth)
         y = sum(1 for hit, truth in zip(hits, critical[5:]) if hit and not truth)
         assert (row["x"], row["y"], row["n_no_forecast"]) == (x, y, hits.count(None))
+
+
+def test_all_subsets_at_the_sixteen_factor_bound():
+    """65,535 rows in ``enumerated_labels`` order; a seeded sample equals the reference.
+
+    One factor more raises ``TooManyFactors``, before labels built for other
+    years could raise ``LabelMismatch``.
+    """
+    m, _ = generate(PlantSpec(n_years=30, n_factors=17, seed=16, noise_prob=0.1, n_adversarial=3))
+    threshold = CriticalThreshold(10.0)
+    labels = label_critical(m, threshold)
+    cfg = BacktestConfig(QuorumRule(0.6), threshold, 5, 2, "rolling", 0.5)
+    names = list(m.factor_names[:16])
+    random.Random(16).shuffle(names)
+    selection = FactorSelection(names)
+    report = subset_sweep(m, labels, SweepSpec("factor_subset", selection, cfg))
+    assert len(report.rows) == 65_535
+    assert [row.configuration for row in report.rows] == enumerated_labels(selection.names)
+    for row in random.Random(17).sample(report.rows, 60):
+        subset = FactorSelection(tuple(row.configuration.split("+")))
+        assert row.status == "ok"
+        assert row_counts(row) == reference_backtest(m, labels, subset, cfg)[1]
+
+    other = label_critical(generate(PlantSpec(n_years=31, n_factors=1, seed=16))[0], threshold)
+    with pytest.raises(TooManyFactors):
+        subset_sweep(m, other, SweepSpec("factor_subset", FactorSelection.all_of(m), cfg))
+    with pytest.raises(LabelMismatch):
+        subset_sweep(m, other, SweepSpec("factor_subset", selection, cfg))
 
 
 @settings(max_examples=150, deadline=None)

@@ -1,8 +1,11 @@
 """Sweep harness: grids, determinism, skips, and the planted-signal findings."""
 
 import math
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import factorcast.backtest
 from factorcast import (
@@ -63,6 +66,23 @@ def spec_for(axis, grid=None, config=IN_SAMPLE, selection=None):
     )
 
 
+# Names whose sorted order differs from a drawn selection order: by code point,
+# digits sort before upper case, upper case before "_", "_" before lower case,
+# and a name before its extensions.
+SORT_TRAPS = ("B", "a", "a1", "_x", "Z", "b", "a0", "aa", "A9", "x_")
+
+
+def sorted_combinations(names):
+    """The plainest definition of the ``enumerate_subsets`` order: per size, the
+    index tuples sorted along with their name tuples."""
+    indices = range(len(names))
+    return tuple(
+        subset
+        for size in range(1, len(names) + 1)
+        for _, subset in sorted(zip(combinations(names, size), combinations(indices, size)))
+    )
+
+
 class TestSubsetSweep:
     def test_three_factors_give_seven_rows(self):
         report = subset_sweep(THREE_FACTOR, LABELS, spec_for("factor_subset"))
@@ -82,6 +102,11 @@ class TestSubsetSweep:
         assert [row.configuration for row in report.rows] == [
             "a", "b", "c", "a+b", "c+a", "c+b", "c+a+b",
         ]
+
+    @settings(max_examples=200, deadline=None)
+    @given(names=st.lists(st.sampled_from(SORT_TRAPS), min_size=1, max_size=7, unique=True))
+    def test_enumeration_matches_sorted_combinations(self, names):
+        assert enumerate_subsets(FactorSelection(names)) == sorted_combinations(names)
 
     def test_full_set_row_matches_direct_backtest(self):
         report = subset_sweep(THREE_FACTOR, LABELS, spec_for("factor_subset"))
