@@ -124,7 +124,7 @@ def threshold_value(m: TemporalMatrix, labels: CriticalLabels, cfg: BacktestConf
 
 def evaluation_lanes(
     m: TemporalMatrix,
-    names: Sequence[str],
+    names: tuple[str, ...],
     flags: Sequence[bool],
     value: float | None,
     cfg: BacktestConfig,
@@ -138,6 +138,13 @@ def evaluation_lanes(
     window's rows with incidence at or above ``value`` (on ``flags`` if None),
     the other modes on ``flags``; the truth of every mode is ``flags``.
     ``lanes.factors[j]`` stands for ``names[j]``; an unscored row is a ``no_forecast``.
+
+    This window decides which evaluations share a kernel pass. Each pass is
+    kept in ``m``'s pass memo under everything the kernel reads: the names in
+    order, the lag, the training rows as bytes (whose length is ``k``), the
+    mode, the widening and the two training minimums. A later call on the same
+    matrix object with an equal key reuses the lanes, which are immutable; the
+    truth is cut from ``flags`` on every call.
     """
     n = m.n_years
     lag = cfg.lag if lag is None else lag
@@ -145,17 +152,24 @@ def evaluation_lanes(
         check_lag(lag, n)
         flags = flags[lag - n :]
     k = len(flags)
-    columns = [m.factor_values(name)[n - lag - k : n - lag] for name in names]
     rolling = cfg.eval_mode == "rolling" and value is not None
     critical = [v >= value for v in m.incidence[n - k :]] if rolling else flags
-    lanes = membership_lanes(
-        columns,
-        critical,
-        cfg.eval_mode,
-        widen_eps=cfg.widen_eps,
-        start=cfg.min_train_years,
-        min_critical=cfg.min_train_critical,
-    )
+    start, min_critical = cfg.min_train_years, cfg.min_train_critical
+    # The key holds the training rows as bytes; the kernel reads the bools, which
+    # its truth tests take faster than bytes' ints.
+    key = (names, lag, bytes(critical), cfg.eval_mode, cfg.widen_eps, start, min_critical)
+    lanes = m._passes.get(key)
+    if lanes is None:
+        columns = [m.factor_values(name)[n - lag - k : n - lag] for name in names]
+        lanes = membership_lanes(
+            columns,
+            critical,
+            cfg.eval_mode,
+            widen_eps=cfg.widen_eps,
+            start=start,
+            min_critical=min_critical,
+        )
+        m._passes.add(key, lanes, len(names) * k * lanes.width)
     return lanes, flags[k - lanes.rows :]
 
 

@@ -15,7 +15,11 @@ register) compares every count with the quorum. Every mode walks the matrix
 one factor column at a time.
 
 All functions are pure; many (profile, rule) configurations can be evaluated
-concurrently over the same matrix without coordination.
+concurrently over the same matrix without coordination. The kernel pass memo
+that ``backtest.evaluation_lanes`` keeps on a matrix cannot be observed: a
+pass is looked up by everything it reads, the lanes it holds are immutable,
+a lock makes each store one step, and it is emptied with one
+``dict.clear()``, never by iterating it.
 """
 
 from __future__ import annotations
@@ -161,7 +165,7 @@ class Lanes(NamedTuple):
     with F < 2**(8w - 1), so no count carries into the next lane.
     """
 
-    factors: list[int]
+    factors: tuple[int, ...]
     scored: int
     ones: int
     width: int
@@ -272,14 +276,14 @@ def membership_lanes(
                     if v > b:
                         b, hi = v, v + eps
             lanes.append((int.from_bytes(buf, "little") if w == 1 else _to_lane(buf, w)) << skip)
-        return _lanes((lanes, ones >> skip << skip, ones, w, rows))
+        return _lanes((tuple(lanes), ones >> skip << skip, ones, w, rows))
     if profile is not None:
         lo = [iv.lo - iv.widen_eps for iv in profile.intervals]
         hi = [iv.hi + iv.widen_eps for iv in profile.intervals]
     elif mode in ("leave_one_out", "in_sample"):
         train = [list(compress(col, critical)) for col in columns]
         if not train or not train[0]:
-            return _lanes(([0] * len(columns), 0, ones, w, rows))
+            return _lanes(((0,) * len(columns), 0, ones, w, rows))
         ranked = [sorted(values) for values in train]
         lo, hi = [s[0] - eps for s in ranked], [s[-1] + eps for s in ranked]
     else:
@@ -294,13 +298,13 @@ def membership_lanes(
         # a factor's unique minimum (maximum) moves that edge to the runner-up.
         held = list(compress(range(n_rows), critical))
         if len(held) == 1:
-            return _lanes((lanes, ones - (1 << 8 * w * held[0]), ones, w, rows))
+            return _lanes((tuple(lanes), ones - (1 << 8 * w * held[0]), ones, w, rows))
         for j, (values, s) in enumerate(zip(train, ranked)):
             if s[0] < s[1] - eps:
                 lanes[j] -= 1 << 8 * w * held[values.index(s[0])]
             if s[-1] > s[-2] + eps:
                 lanes[j] -= 1 << 8 * w * held[values.index(s[-1])]
-    return _lanes((lanes, ones, ones, w, rows))
+    return _lanes((tuple(lanes), ones, ones, w, rows))
 
 
 def membership_count(year_factors: Mapping[str, float], profile: IntervalProfile) -> int:

@@ -6,12 +6,14 @@ preserved, all factor subsets run by size, then by their tuples of names in
 selection order (each size built from the one below), and infeasible grid
 points stay in the report as skipped rows so the sweep shape always matches
 the grid. Every axis takes an evaluation's training rows and
-truth from :func:`backtest.evaluation_lanes`. On the threshold, lag and
+truth from :func:`backtest.evaluation_lanes`, whose pass memo on the matrix
+decides which evaluations share a kernel pass, within one sweep and across
+sweeps and backtests of the same matrix object. On the threshold, lag and
 row-length axes a grid point is a row window plus its flags (a relabel on the
-threshold axis, the labels' flags on the other two); points with the same pair
-share one kernel pass, and one skip policy (window longer than the lagged series,
-too few critical years in the flags, no rolling forecast origin) covers all three.
-Quorum and factor_subset rows are ``backtest`` on the base window, never skipped.
+threshold axis, the labels' flags on the other two), and one skip policy
+(window longer than the lagged series, too few critical years in the flags, no
+rolling forecast origin) covers all three. Quorum and factor_subset rows are
+``backtest`` on the base window, never skipped.
 """
 
 from __future__ import annotations
@@ -99,28 +101,26 @@ def _sliced_sweep(axis: str, m: TemporalMatrix, spec: SweepSpec, points: list) -
     longer than the ``n - cfg.lag`` years the base lag leaves. A point is
     skipped when its window exceeds them, when its flags hold too few critical
     years, or when a rolling replay has no forecast origin, in that order.
-    Points with the same lag, ``k`` and count of critical years share one kernel
-    pass: on one axis those fix the flags, since the lag and row-length axes cut
-    one label tuple and relabels at rising thresholds nest. ``value`` is None on
-    the threshold axis, whose flags are the rolling training rows.
+    ``value`` is None on the threshold axis, whose flags are the rolling
+    training rows.
     """
     cfg, n, names = spec.config, m.n_years - spec.config.lag, spec.selection.names
     required, rolling = cfg.rule.required(len(names)), cfg.eval_mode == "rolling"
-    scores, rows = {}, []  # scores: a shared key's ok row fields after the label
+    rows = []
     for label, value, lag, flags in points:
-        _, k, n_critical = key = (lag, len(flags), flags.count(True)) if flags else (lag, 0, 0)
+        k, n_critical = (len(flags), flags.count(True)) if flags else (0, 0)
         if flags is None:
             note = f"window exceeds {n}-year series"
         elif n_critical < cfg.min_train_critical:
             note = f"{n_critical} critical years, {cfg.min_train_critical} required"
         elif rolling and k <= cfg.min_train_years:
             note = f"{k} years, {cfg.min_train_years + 1} required"
-        elif key not in scores:
+        else:
             lanes, truth = evaluation_lanes(m, names, flags, value, cfg, lag)
             x, y, unscored = lanes.scorer(truth)(sum(lanes.factors), required)
-            scores[key] = "ok", x, y, x / (x + y) if x + y else None, unscored, ""
-        # The skip rules read only the key, so a key is scored exactly when its point is ok.
-        rows.append(_row((label, *(scores.get(key) or ("skipped", None, None, None, None, note)))))
+            rows.append(_row((label, "ok", x, y, x / (x + y) if x + y else None, unscored, "")))
+            continue
+        rows.append(_row((label, "skipped", None, None, None, None, note)))
     return SweepReport(axis, tuple(rows))
 
 

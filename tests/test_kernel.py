@@ -10,6 +10,7 @@ exactly on an envelope edge.
 """
 
 import ast
+import copy
 import json
 import math
 import random
@@ -30,7 +31,7 @@ from factorcast import (
     rolling_backtest,
 )
 from factorcast.cli import main
-from factorcast.backtest import EVAL_MODES
+from factorcast.backtest import EVAL_MODES, evaluation_lanes
 from factorcast.errors import LabelMismatch, TooManyFactors
 from factorcast.matrix import CriticalLabels, TemporalMatrix, format_number
 from factorcast.recognizer import (
@@ -391,6 +392,88 @@ def test_data_changing_sweeps_match_reference(data):
         expected.append(expected_row(window, window_labels, selection, cfg))
     assert [row.configuration for row in report.rows] == list(map(str, lengths))
     assert_rows(report, expected)
+
+
+def window_masks(m, names, flags, value, cfg, lag):
+    """``evaluation_lanes`` read back into one bitmask per row, and the truth of the rows."""
+    lanes, truth = evaluation_lanes(m, names, flags, value, cfg, lag)
+    return lanes_to_masks(lanes), list(truth)
+
+
+def reference_window_masks(m, names, flags, value, cfg, lag):
+    """``window_masks`` from ``_reference_rule.masks`` over the window's plain lists."""
+    n = m.n_years
+    flags = list(flags)[lag - n :]
+    k = len(flags)
+    columns = [list(m.factor_values(name))[n - lag - k : n - lag] for name in names]
+    if cfg.eval_mode == "rolling" and value is not None:
+        critical = [v >= value for v in m.incidence[n - k :]]
+    else:
+        critical = flags
+    masks = ref.masks(
+        columns,
+        critical,
+        cfg.eval_mode,
+        cfg.widen_eps,
+        cfg.min_train_years,
+        cfg.min_train_critical,
+    )
+    return masks, flags[k - len(masks) :]
+
+
+def replaced(cfg, **changes):
+    """``cfg`` with the fields named in ``changes`` replaced."""
+    return BacktestConfig(**{**{name: getattr(cfg, name) for name in cfg.__slots__}, **changes})
+
+
+@pytest.mark.parametrize("mode", EVAL_MODES)
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_pass_memo_key_tells_apart_every_window_the_kernel_reads(mode, data):
+    """A base window, then variants that each change one field of the pass memo's key.
+
+    All run on one matrix after the base, so a key that left a field out would
+    hand a variant another window's lanes. Each result must equal the same
+    call on a copy, whose memo starts empty, and the reference. The training
+    rows change through flags that differ from the threshold's labeling, with
+    and without the threshold; ``widen_eps`` -0.0 equals 0.0 and shares its pass.
+    The window leaves rolling rows to score, so the training minimums matter.
+    """
+    m = data.draw(matrices(n_min=4, f_min=2))
+    n = m.n_years
+    value = data.draw(st.sampled_from(sorted(set(m.incidence))))
+    flags = label_critical(m, CriticalThreshold(value)).is_critical
+    if data.draw(st.integers(0, 4)) == 0:
+        flags = tuple(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    k = data.draw(st.integers(2, n - 1))
+    lag = data.draw(st.integers(0, n - 1 - k))  # lag + 1 leaves the same k rows
+    flags = flags[n - k :]
+    flipped = list(flags)
+    flipped[data.draw(st.integers(0, k - 1))] ^= True
+    names = tuple(data.draw(st.permutations(m.factor_names)))
+    cfg = BacktestConfig(
+        rule=QuorumRule(1.0),
+        threshold=CriticalThreshold(value),
+        min_train_years=data.draw(st.integers(3, max(3, k - 1))),
+        min_train_critical=data.draw(st.integers(2, 3)),
+        eval_mode=mode,
+        widen_eps=data.draw(st.sampled_from(EPS_CHOICES)),
+    )
+    base = (names, flags, value, cfg, lag)
+    variants = [
+        (names[::-1], flags, value, cfg, lag),
+        (names, flags, value, cfg, lag + 1),
+        (names, flags[1:], value, cfg, lag),
+        (names, flipped, value, cfg, lag),
+        (names, flipped, None, cfg, lag),
+        *((names, flags, value, replaced(cfg, eval_mode=other), lag) for other in EVAL_MODES),
+        *((names, flags, value, replaced(cfg, widen_eps=eps), lag) for eps in (0.0, -0.0, 0.5)),
+        (names, flags, value, replaced(cfg, min_train_years=cfg.min_train_years + 1), lag),
+        (names, flags, value, replaced(cfg, min_train_critical=cfg.min_train_critical + 1), lag),
+    ]
+    for args in (base, *variants, base):
+        got = window_masks(m, *args)
+        assert got == window_masks(copy.copy(m), *args) == reference_window_masks(m, *args)
 
 
 @st.composite

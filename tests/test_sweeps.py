@@ -1,7 +1,13 @@
 """Sweep harness: grids, determinism, skips, and the planted-signal findings."""
 
+import copy
 import math
+import os
+import pickle
+import sys
+import threading
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -36,6 +42,9 @@ from factorcast.sweeps import (
     threshold_sensitivity,
 )
 from factorcast.synth import PlantSpec, generate
+
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
 def make_matrix(incidence, **columns):
@@ -458,11 +467,17 @@ def test_unsliced_points_of_hand_set_labels_match_backtest_and_quorum_row(mode, 
         assert (x, y, p) == (3, 1, 0.75)
 
 
+def held_lane_bytes(memo):
+    """The lane bytes of the passes in a matrix's pass memo: ``len(names) * k * w`` each."""
+    return sum(len(key[0]) * len(key[2]) * lanes.width for key, lanes in memo.items())
+
+
 class TestKernelPasses:
     """Each sweep makes the kernel passes README and the ``sweeps`` docstrings promise."""
 
     @pytest.fixture
-    def passes(self, monkeypatch):
+    def calls(self, monkeypatch):
+        """Gets one entry per kernel pass that ``evaluation_lanes`` makes."""
         calls = []
         lanes = factorcast.backtest.membership_lanes
 
@@ -471,10 +486,14 @@ class TestKernelPasses:
             return lanes(*args, **kwargs)
 
         monkeypatch.setattr(factorcast.backtest, "membership_lanes", counting)
+        return calls
 
-        def count(run, *args):
+    @pytest.fixture
+    def passes(self, calls):
+        def count(run, m, *args):
+            """``run(m, *args)`` and its passes, on a copy of ``m`` with an empty pass memo."""
             calls.clear()
-            return run(*args), len(calls)
+            return run(copy.copy(m), *args), len(calls)
 
         return count
 
@@ -512,6 +531,86 @@ class TestKernelPasses:
             report, n = passes(sweep, m, labels, spec(axis, grid))
             ok = {point for point, row in zip(grid, report.rows) if row.status == "ok"}
             assert n == len(ok) == expected
+
+    @pytest.mark.parametrize("mode", ["rolling", "leave_one_out", "in_sample"])
+    def test_calls_on_one_matrix_share_their_pass(self, calls, mode):
+        m, _ = generate(PlantSpec(seed=3, n_years=40, n_factors=5))
+        threshold = CriticalThreshold(10.0)
+        labels = label_critical(m, threshold)
+        selection = FactorSelection.all_of(m)
+        cfg = BacktestConfig(rule=QuorumRule(0.75), threshold=threshold, eval_mode=mode)
+        rolling_backtest(m, labels, selection, cfg)
+        quorum_sweep(m, labels, SweepSpec("quorum", selection, cfg, (0.5, 0.75, 1.0)))
+        subset_sweep(m, labels, SweepSpec("factor_subset", selection, cfg))
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("seed", (1001, 1002, 1003))
+    def test_benchmark_sweep_job_makes_eight_passes(self, calls, monkeypatch, tmp_path, seed):
+        # Of the five axes' 12 evaluation windows, the base window recurs in the
+        # subset and quorum sweeps, at thresholds 9.5 and 10, at lag 0 and in the
+        # 40-year window; the 25.0 threshold and the 48-year window are skipped.
+        monkeypatch.syspath_prepend(str(BENCH))
+        import workloads
+
+        wl = workloads.SweepWorkload(tmp_path)
+        inp = wl.build(seed)
+        out = wl.run(inp)
+        assert len(calls) == 8
+        assert wl.check(out, wl.expect(inp, False))
+
+    def test_pass_memo_is_not_observable(self):
+        m, _ = generate(PlantSpec(seed=3, n_years=40, n_factors=5))
+        before = repr(m)
+        threshold = CriticalThreshold(10.0)
+        cfg = BacktestConfig(rule=QuorumRule(0.75), threshold=threshold)
+        rolling_backtest(m, label_critical(m, threshold), FactorSelection.all_of(m), cfg)
+        assert len(m._passes) == 1
+        assert copy.copy(m) == m
+        assert repr(m) == before
+        for other in (copy.copy(m), copy.deepcopy(m), pickle.loads(pickle.dumps(m))):
+            assert other == m
+            assert (len(other._passes), other._passes.nbytes) == (0, 0)
+
+    def test_pass_memo_holds_at_most_the_matrix_cell_bytes(self, calls):
+        m, _ = generate(PlantSpec(seed=5, n_years=160, n_factors=5))
+        cfg = BacktestConfig(rule=QuorumRule(0.75), threshold=CriticalThreshold(10.0))
+        # Every observed incidence value but the largest labels a distinct set of at least two years.
+        grid = sorted(set(m.incidence))[:-1]
+        report = threshold_sensitivity(m, SweepSpec("threshold", FactorSelection.all_of(m), cfg, grid))
+        assert all(row.status == "ok" for row in report.rows)
+        assert len(calls) == len(grid) >= 100
+        assert 0 < held_lane_bytes(m._passes) == m._passes.nbytes <= 8 * m.n_years * (m.n_factors + 1)
+
+    def test_threads_sharing_one_matrix_keep_its_memo_exact(self):
+        # More threads than cores, started together with a short switch interval,
+        # race to make the same passes. One factor of twenty keeps every pass of the
+        # sweep in the memo, so a lost update of its running total, or a pass two
+        # threads both store, leaves the total unequal to the lanes it holds.
+        m, _ = generate(PlantSpec(seed=5, n_years=160, n_factors=20))
+        cfg = BacktestConfig(rule=QuorumRule(0.75), threshold=CriticalThreshold(10.0))
+        spec = SweepSpec("threshold", FactorSelection(("f01",)), cfg, sorted(set(m.incidence))[:-1])
+        expected = threshold_sensitivity(copy.copy(m), spec)
+        workers = (os.cpu_count() or 1) + 2
+        start, reports = threading.Barrier(workers), []
+
+        def sweep():
+            start.wait(timeout=60)
+            reports.append(threshold_sensitivity(m, spec))
+
+        threads = [threading.Thread(target=sweep) for _ in range(workers)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert reports == [expected] * workers
+        assert len(m._passes) == len(spec.grid)
+        assert held_lane_bytes(m._passes) == m._passes.nbytes <= 8 * m.n_years * (m.n_factors + 1)
 
 
 class TestDeterminism:
