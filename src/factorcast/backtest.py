@@ -24,6 +24,9 @@ EvalMode = Literal["rolling", "leave_one_out", "in_sample"]
 
 EVAL_MODES = ("rolling", "leave_one_out", "in_sample")
 
+# Kernel passes a matrix's pass memo holds before a miss clears it (see evaluation_lanes).
+MAX_PASSES = 8
+
 
 class BacktestConfig(Frozen):
     """One fixed recognition configuration, factor lag included, for a whole backtest."""
@@ -139,12 +142,18 @@ def evaluation_lanes(
     the other modes on ``flags``; the truth of every mode is ``flags``.
     ``lanes.factors[j]`` stands for ``names[j]``; an unscored row is a ``no_forecast``.
 
-    This window decides which evaluations share a kernel pass. Each pass is
-    kept in ``m``'s pass memo under everything the kernel reads: the names in
-    order, the lag, the training rows as bytes (whose length is ``k``), the
-    mode, the widening and the two training minimums. A later call on the same
-    matrix object with an equal key reuses the lanes, which are immutable; the
-    truth is cut from ``flags`` on every call.
+    This window decides which evaluations share a kernel pass. ``m._passes``,
+    a plain dict that only this function touches, keeps each pass under
+    everything the kernel reads: the names in order, the lag, the training
+    rows as a tuple (whose length is ``k``), the mode, the widening and the
+    two training minimums. A later call on the same matrix object with an
+    equal key reuses the lanes, which are immutable; the truth is cut from
+    ``flags`` on every call. A miss that finds ``MAX_PASSES`` passes held
+    clears them all first, so the memo holds at most ``8·F·n·w`` lane bytes
+    for F factors with ``w``-byte lanes (``w = 1`` below 128 factors). Each
+    step is one dict operation, so threads need no lock; a key stored twice
+    keeps its first lanes. The memo is no field: equality, ``repr``, pickling
+    and copies never see it, a copy starts empty, and no result depends on it.
     """
     n = m.n_years
     lag = cfg.lag if lag is None else lag
@@ -155,11 +164,11 @@ def evaluation_lanes(
     rolling = cfg.eval_mode == "rolling" and value is not None
     critical = [v >= value for v in m.incidence[n - k :]] if rolling else flags
     start, min_critical = cfg.min_train_years, cfg.min_train_critical
-    # The key holds the training rows as bytes; the kernel reads the bools, which
-    # its truth tests take faster than bytes' ints.
-    key = (names, lag, bytes(critical), cfg.eval_mode, cfg.widen_eps, start, min_critical)
+    key = (names, lag, tuple(critical), cfg.eval_mode, cfg.widen_eps, start, min_critical)
     lanes = m._passes.get(key)
     if lanes is None:
+        if len(m._passes) >= MAX_PASSES:
+            m._passes.clear()
         columns = [m.factor_values(name)[n - lag - k : n - lag] for name in names]
         lanes = membership_lanes(
             columns,
@@ -169,7 +178,7 @@ def evaluation_lanes(
             start=start,
             min_critical=min_critical,
         )
-        m._passes.add(key, lanes, len(names) * k * lanes.width)
+        lanes = m._passes.setdefault(key, lanes)
     return lanes, flags[k - lanes.rows :]
 
 

@@ -8,10 +8,8 @@ boolean critical labeling derived from an incidence threshold.
 
 Everything here is a pure function over immutable values: transforms return
 new matrices and never mutate their inputs, so values are safe to share
-across concurrent evaluations. A matrix also carries a memo of the kernel
-passes made over it (see :class:`PassMemo`). The memo is not a field: equality,
-``repr``, pickling and copies never see it, a copy or an unpickled matrix
-starts with an empty one, and no result depends on what it holds.
+across concurrent evaluations. A matrix also carries the memo of kernel
+passes that :func:`backtest.evaluation_lanes` keeps, which is no field.
 """
 
 from __future__ import annotations
@@ -20,7 +18,6 @@ import csv
 import io
 import math
 import operator
-from threading import Lock
 from types import MappingProxyType
 from typing import Iterable, Literal, Mapping
 
@@ -91,37 +88,6 @@ class Frozen:
         return type(self), self._fields()
 
 
-class PassMemo(dict):
-    """Kernel passes over one matrix by key, holding at most ``budget`` lane bytes.
-
-    ``backtest.evaluation_lanes`` fills it. ``nbytes`` is a running total of
-    the lane bytes added since the last clear, so a miss never sums the
-    entries. A pass that would take the total past ``budget`` empties the
-    memo first with one ``dict.clear()``; no Python code iterates the dict,
-    so concurrent evaluations over one matrix stay safe. A lock makes each
-    add one step, so under threads the total still equals the lanes held.
-    """
-
-    __slots__ = ("budget", "nbytes", "_lock")
-
-    def __init__(self, budget: int):
-        self.budget, self.nbytes, self._lock = budget, 0, Lock()
-
-    def add(self, key, value, nbytes: int) -> None:
-        """Store ``value`` under ``key`` as ``nbytes`` lane bytes, clearing first if they overflow.
-
-        A key another thread stored since this one missed keeps its first value.
-        """
-        with self._lock:
-            if key in self:
-                return
-            if self.nbytes + nbytes > self.budget:
-                self.clear()
-                self.nbytes = 0
-            self[key] = value
-            self.nbytes += nbytes
-
-
 class _PassSlot:
     """The ``_passes`` slot, declared outside ``TemporalMatrix.__slots__`` so it is no field."""
 
@@ -134,9 +100,8 @@ class TemporalMatrix(Frozen, _PassSlot):
     Invariants checked at construction: years strictly increasing, at least
     one year and one factor, every cell present and finite, incidence
     non-negative. ``columns`` is a read-only mapping from factor name to
-    its column. ``_passes`` is the matrix's :class:`PassMemo`, bounded by
-    its cells: it never holds more lane bytes than the ``8·n·(F + 1)`` bytes
-    of the n years' incidence and F factor values as floats.
+    its column. ``_passes`` is the kernel pass memo that
+    :func:`backtest.evaluation_lanes` describes and alone reads and writes.
     """
 
     __slots__ = ("years", "incidence", "factor_names", "columns")
@@ -155,7 +120,7 @@ class TemporalMatrix(Frozen, _PassSlot):
             MappingProxyType({name: tuple(map(float, col)) for name, col in columns.items()}),
         )
         self._validate()
-        object.__setattr__(self, "_passes", PassMemo(8 * self.n_years * (self.n_factors + 1)))
+        object.__setattr__(self, "_passes", {})
 
     def __reduce__(self):
         # A mapping proxy does not pickle; the constructor takes a plain dict.

@@ -15,11 +15,7 @@ register) compares every count with the quorum. Every mode walks the matrix
 one factor column at a time.
 
 All functions are pure; many (profile, rule) configurations can be evaluated
-concurrently over the same matrix without coordination. The kernel pass memo
-that ``backtest.evaluation_lanes`` keeps on a matrix cannot be observed: a
-pass is looked up by everything it reads, the lanes it holds are immutable,
-a lock makes each store one step, and it is emptied with one
-``dict.clear()``, never by iterating it.
+concurrently over the same matrix without coordination.
 """
 
 from __future__ import annotations

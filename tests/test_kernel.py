@@ -432,9 +432,10 @@ def replaced(cfg, **changes):
 def test_pass_memo_key_tells_apart_every_window_the_kernel_reads(mode, data):
     """A base window, then variants that each change one field of the pass memo's key.
 
-    All run on one matrix after the base, so a key that left a field out would
-    hand a variant another window's lanes. Each result must equal the same
-    call on a copy, whose memo starts empty, and the reference. The training
+    Each variant runs on a copy of the matrix that has just evaluated the base,
+    so a key that left a field out would hand it the base's lanes however many
+    passes the memo holds. Each result must equal the same call on a fresh
+    copy, whose memo starts empty, and the reference. The training
     rows change through flags that differ from the threshold's labeling, with
     and without the threshold; ``widen_eps`` -0.0 equals 0.0 and shares its pass.
     The window leaves rolling rows to score, so the training minimums matter.
@@ -471,8 +472,10 @@ def test_pass_memo_key_tells_apart_every_window_the_kernel_reads(mode, data):
         (names, flags, value, replaced(cfg, min_train_years=cfg.min_train_years + 1), lag),
         (names, flags, value, replaced(cfg, min_train_critical=cfg.min_train_critical + 1), lag),
     ]
-    for args in (base, *variants, base):
-        got = window_masks(m, *args)
+    for args in (base, *variants):
+        seeded = copy.copy(m)
+        window_masks(seeded, *base)
+        got = window_masks(seeded, *args)
         assert got == window_masks(copy.copy(m), *args) == reference_window_masks(m, *args)
 
 

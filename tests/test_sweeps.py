@@ -22,6 +22,7 @@ from factorcast import (
     label_critical,
     rolling_backtest,
 )
+from factorcast.backtest import MAX_PASSES
 from factorcast.errors import (
     InvalidQuorum,
     InvalidThreshold,
@@ -569,7 +570,7 @@ class TestKernelPasses:
         assert repr(m) == before
         for other in (copy.copy(m), copy.deepcopy(m), pickle.loads(pickle.dumps(m))):
             assert other == m
-            assert (len(other._passes), other._passes.nbytes) == (0, 0)
+            assert len(other._passes) == 0
 
     def test_pass_memo_holds_at_most_the_matrix_cell_bytes(self, calls):
         m, _ = generate(PlantSpec(seed=5, n_years=160, n_factors=5))
@@ -579,13 +580,33 @@ class TestKernelPasses:
         report = threshold_sensitivity(m, SweepSpec("threshold", FactorSelection.all_of(m), cfg, grid))
         assert all(row.status == "ok" for row in report.rows)
         assert len(calls) == len(grid) >= 100
-        assert 0 < held_lane_bytes(m._passes) == m._passes.nbytes <= 8 * m.n_years * (m.n_factors + 1)
+        assert len(m._passes) <= MAX_PASSES
+        assert 0 < held_lane_bytes(m._passes) <= 8 * m.n_years * (m.n_factors + 1)
+
+    def test_a_full_pass_memo_clears_before_its_next_pass(self, calls):
+        m, _ = generate(PlantSpec(seed=3, n_years=40, n_factors=5))
+        threshold = CriticalThreshold(10.0)
+        labels = label_critical(m, threshold)
+        selection = FactorSelection.all_of(m)
+
+        def run(lag):
+            cfg = BacktestConfig(rule=QuorumRule(0.75), threshold=threshold, lag=lag)
+            return rolling_backtest(m, labels, selection, cfg)
+
+        # Each lag is a distinct window; lag MAX_PASSES finds the memo full.
+        first = run(0)
+        for lag in range(1, MAX_PASSES + 1):
+            run(lag)
+        assert len(calls) == MAX_PASSES + 1
+        assert len(m._passes) == 1
+        assert run(0) == first
+        assert len(calls) == MAX_PASSES + 2
 
     def test_threads_sharing_one_matrix_keep_its_memo_exact(self):
         # More threads than cores, started together with a short switch interval,
-        # race to make the same passes. One factor of twenty keeps every pass of the
-        # sweep in the memo, so a lost update of its running total, or a pass two
-        # threads both store, leaves the total unequal to the lanes it holds.
+        # race to make the same passes and to clear the memo each time it fills.
+        # A thread that finds the memo one short of full stores its pass after
+        # others may have stored theirs, so it can overshoot by workers - 1.
         m, _ = generate(PlantSpec(seed=5, n_years=160, n_factors=20))
         cfg = BacktestConfig(rule=QuorumRule(0.75), threshold=CriticalThreshold(10.0))
         spec = SweepSpec("threshold", FactorSelection(("f01",)), cfg, sorted(set(m.incidence))[:-1])
@@ -609,8 +630,7 @@ class TestKernelPasses:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert reports == [expected] * workers
-        assert len(m._passes) == len(spec.grid)
-        assert held_lane_bytes(m._passes) == m._passes.nbytes <= 8 * m.n_years * (m.n_factors + 1)
+        assert len(m._passes) <= MAX_PASSES + workers - 1
 
 
 class TestDeterminism:
