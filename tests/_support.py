@@ -394,6 +394,11 @@ GOLDEN_CASES = [
     ),
     ("backtest_lag_rolling.txt", lambda d: [*_planted_long(d, "rolling", "text"), "--lag", "2"]),
     (
+        # Per-year in-sample memberships against widened envelopes of lagged rows.
+        "backtest_planted_in_sample_lag.json",
+        lambda d: [*_planted_long(d, "in_sample", "json"), "--lag", "1"],
+    ),
+    (
         # The last window, 39 rows, is longer than the 38 rows that lag 2 leaves.
         "sweep_row_length_lag.txt",
         lambda d: _planted_long_sweep(
