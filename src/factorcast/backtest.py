@@ -11,7 +11,7 @@ leave-one-out mode for comparison.
 from __future__ import annotations
 
 import math
-from functools import partial
+from itertools import repeat
 from typing import Literal, NamedTuple, Sequence
 
 from .errors import InsufficientYears
@@ -182,11 +182,6 @@ def evaluation_lanes(
     return lanes, flags[k - lanes.rows :]
 
 
-# Builds a Verdict from one (year, prediction, membership, truth) tuple. Verdict._make
-# adds only a length check, which zipping the four sequences already guarantees.
-_verdict = partial(tuple.__new__, Verdict)
-
-
 def rolling_backtest(
     m: TemporalMatrix,
     labels: CriticalLabels,
@@ -211,8 +206,8 @@ def rolling_backtest(
     Every mode is one pass of the membership kernel over each factor column,
     so a backtest costs O(n·F) for n years and F factors: rolling keeps a
     running min/max per factor instead of rebuilding the prefix at each
-    origin, and leave-one-out patches the in-sample lanes of the critical
-    years that sit alone on an envelope edge. The factors' lanes are summed
+    origin, and leave-one-out clears the in-sample hit of each critical year
+    that sits alone on an envelope edge. The factors' lanes are summed
     once; one SWAR step against the quorum requirement gives x, y and the
     ``no_forecast`` total, and the sum's lanes unpack into the per-year
     membership counts of the verdicts.
@@ -227,6 +222,7 @@ def rolling_backtest(
         "no_forecast" if count is None else "critical" if count >= required else "non_critical"
         for count in counts
     ]
-    verdicts = tuple(map(_verdict, zip(years, predictions, counts, truth)))
+    # Verdict(...) and Verdict._make cost more; zip already gives every tuple four fields.
+    verdicts = tuple(map(tuple.__new__, repeat(Verdict), zip(years, predictions, counts, truth)))
     x, y, n_no_forecast = lanes.scorer(truth)(total, required)
     return BacktestResult(verdicts, x, y, precision(x, y), n_no_forecast)

@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 from functools import partial
 from itertools import compress
+from operator import itemgetter
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import InvalidQuorum, LabelMismatch, MissingFactorValue, NoCriticalYears
@@ -226,8 +227,10 @@ def membership_lanes(
 
     A ``profile`` fixes the envelopes to its intervals instead, whatever the
     mode. Every mode is one pass per factor column and costs O(n·F) for n
-    rows and F factors (leave-one-out and in-sample add a sort of the
-    critical values).
+    rows and F factors. In-sample and leave-one-out list the critical rows
+    once, gather each column's values there with one shared ``itemgetter``
+    and sort them; each column is scored into one ``bytearray``, in which
+    leave-one-out clears a held-out row's byte, then turned into its int.
     """
     n_rows = len(columns[0]) if columns else 0
     w = (len(columns).bit_length() + 8) // 8  # the smallest w with F < 2**(8w - 1)
@@ -273,34 +276,35 @@ def membership_lanes(
                         b, hi = v, v + eps
             lanes.append((int.from_bytes(buf, "little") if w == 1 else _to_lane(buf, w)) << skip)
         return _lanes((tuple(lanes), ones >> skip << skip, ones, w, rows))
-    if profile is not None:
-        lo = [iv.lo - iv.widen_eps for iv in profile.intervals]
-        hi = [iv.hi + iv.widen_eps for iv in profile.intervals]
-    elif mode in ("leave_one_out", "in_sample"):
-        train = [list(compress(col, critical)) for col in columns]
-        if not train or not train[0]:
-            return _lanes(((0,) * len(columns), 0, ones, w, rows))
-        ranked = [sorted(values) for values in train]
-        lo, hi = [s[0] - eps for s in ranked], [s[-1] + eps for s in ranked]
-    else:
+    if profile is None and mode not in ("leave_one_out", "in_sample"):
         raise ValueError(f"unknown evaluation mode {mode!r}")
-    # 1 and 0 rather than bools: bytes() converts small ints faster.
-    lanes = [
-        _to_lane(bytes([1 if a <= v <= b else 0 for v in col]), w)
-        for col, a, b in zip(columns, lo, hi)
-    ]
-    if profile is None and mode == "leave_one_out":
-        # Every critical row is inside the full envelope. Held out, a row that is
-        # a factor's unique minimum (maximum) moves that edge to the runner-up.
+    loo, scored, lanes = profile is None and mode == "leave_one_out", ones, []
+    if profile is None:
         held = list(compress(range(n_rows), critical))
-        if len(held) == 1:
-            return _lanes((tuple(lanes), ones - (1 << 8 * w * held[0]), ones, w, rows))
-        for j, (values, s) in enumerate(zip(train, ranked)):
+        if not held:
+            return _lanes(((0,) * len(columns), 0, ones, w, rows))
+        # One gather per column. A one-row itemgetter returns a bare value; twice is a tuple.
+        gather = itemgetter(*held) if len(held) > 1 else itemgetter(held[0], held[0])
+        if loo and len(held) == 1:
+            scored -= 1 << 8 * w * held[0]
+    for j, col in enumerate(columns):
+        if profile is None:
+            train = gather(col)
+            s = sorted(train)
+            a, b = s[0] - eps, s[-1] + eps
+        else:
+            iv = profile.intervals[j]
+            a, b = iv.lo - iv.widen_eps, iv.hi + iv.widen_eps
+        # 1 and 0 rather than bools: bytearray() converts small ints faster.
+        buf = bytearray([1 if a <= v <= b else 0 for v in col])
+        if loo:
+            # Every critical row is inside; held out, a unique min (max) moves that edge inward.
             if s[0] < s[1] - eps:
-                lanes[j] -= 1 << 8 * w * held[values.index(s[0])]
+                buf[held[train.index(s[0])]] = 0
             if s[-1] > s[-2] + eps:
-                lanes[j] -= 1 << 8 * w * held[values.index(s[-1])]
-    return _lanes((tuple(lanes), ones, ones, w, rows))
+                buf[held[train.index(s[-1])]] = 0
+        lanes.append(_to_lane(buf, w))
+    return _lanes((tuple(lanes), scored, ones, w, rows))
 
 
 def membership_count(year_factors: Mapping[str, float], profile: IntervalProfile) -> int:
