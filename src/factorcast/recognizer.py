@@ -227,10 +227,9 @@ def membership_lanes(
 
     A ``profile`` fixes the envelopes to its intervals instead, whatever the
     mode. Every mode is one pass per factor column and costs O(n·F) for n
-    rows and F factors. In-sample and leave-one-out list the critical rows
-    once, gather each column's values there with one shared ``itemgetter``
-    and sort them; each column is scored into one ``bytearray``, in which
-    leave-one-out clears a held-out row's byte, then turned into its int.
+    rows and F factors. In-sample and leave-one-out gather each column's
+    critical values with one shared ``itemgetter``, sort them once, and score
+    the column into one ``bytearray``; leave-one-out clears held-out bytes.
     """
     n_rows = len(columns[0]) if columns else 0
     w = (len(columns).bit_length() + 8) // 8  # the smallest w with F < 2**(8w - 1)
@@ -291,14 +290,15 @@ def membership_lanes(
         if profile is None:
             train = gather(col)
             s = sorted(train)
-            a, b = s[0] - eps, s[-1] + eps
+            low, high = s[0] - eps, s[-1] + eps
         else:
             iv = profile.intervals[j]
-            a, b = iv.lo - iv.widen_eps, iv.hi + iv.widen_eps
-        # 1 and 0 rather than bools: bytearray() converts small ints faster.
-        buf = bytearray([1 if a <= v <= b else 0 for v in col])
+            low, high = iv.lo - iv.widen_eps, iv.hi + iv.widen_eps
+        # 1 and 0 rather than bools: bytearray() converts small ints faster. The edges are
+        # named apart from the rolling loop's a, b: the comprehension makes them cell variables.
+        buf = bytearray([1 if low <= v <= high else 0 for v in col])
         if loo:
-            # Every critical row is inside; held out, a unique min (max) moves that edge inward.
+            # Critical rows are all inside; held out, a lone extreme's edge moves to the runner-up.
             if s[0] < s[1] - eps:
                 buf[held[train.index(s[0])]] = 0
             if s[-1] > s[-2] + eps:
